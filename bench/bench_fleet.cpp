@@ -11,8 +11,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -288,6 +290,57 @@ CheckpointOverhead measure_checkpoint_overhead() {
   return rep;
 }
 
+// --- hydraulic solve scaling ------------------------------------------------
+// Warm solves of the replicated district at 1,024 and 10,016 pipes. Identical
+// districts converge in identical sweep counts, so the time ratio is the
+// per-sweep cost ratio: ~10 for a solve linear in the pipe count, >= 100 for
+// a dense elimination. CI gates it at <= 20, a bound no quadratic solve can
+// meet on any runner.
+struct WarmSolves {
+  std::size_t pipes = 0;
+  double ms = 0.0;      // mean warm-solve wall time of the fastest round
+  double sweeps = 0.0;  // mean sweeps per solve
+};
+
+struct HydroScaling {
+  WarmSolves small, large;
+  double ratio = 0.0;  // large.ms / small.ms — gated <= 20
+};
+
+// Three rounds of eight warm solves, each after a ×2 or ×0.5 demand step
+// (exact in binary, so every round sees the same demands and every solve
+// moves every head).
+WarmSolves measure_warm_solves(std::size_t replicas) {
+  hydro::WaterNetwork net = make_district(replicas).net;
+  if (!net.solve()) throw std::runtime_error("bench_fleet: cold solve failed");
+  constexpr int kSolves = 8;
+  WarmSolves w;
+  w.pipes = net.pipe_count();
+  w.ms = std::numeric_limits<double>::infinity();
+  for (int round = 0; round < 3; ++round) {
+    double wall_ms = 0.0;
+    long long sweeps = 0;
+    for (int i = 0; i < kSolves; ++i) {
+      net.scale_demands(i % 2 == 0 ? 2.0 : 0.5);
+      const auto t0 = std::chrono::steady_clock::now();
+      const bool ok = net.solve();
+      const auto t1 = std::chrono::steady_clock::now();
+      if (!ok) throw std::runtime_error("bench_fleet: warm solve failed");
+      wall_ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
+      sweeps += net.last_solve_iterations();
+    }
+    w.ms = std::min(w.ms, wall_ms / kSolves);
+    w.sweeps = static_cast<double>(sweeps) / kSolves;
+  }
+  return w;
+}
+
+HydroScaling measure_hydro_scaling() {
+  HydroScaling h{measure_warm_solves(32), measure_warm_solves(313), 0.0};
+  h.ratio = h.small.ms > 0.0 ? h.large.ms / h.small.ms : 0.0;
+  return h;
+}
+
 // --- per-stage micro throughput -------------------------------------------
 // Samples/s through each hot-path stage, measured standalone so the JSON
 // artifact records where the end-to-end fleet number comes from. The
@@ -463,7 +516,8 @@ RunResult run_mode(unsigned threads, double sim_seconds) {
 /// overload and PI saturation counters accumulated over every mode.
 void write_json_report(const std::vector<std::pair<std::string, RunResult>>& modes,
                        const StageRates& stages, const ScalingReport& scaling,
-                       const CheckpointOverhead& ckpt, unsigned hw,
+                       const CheckpointOverhead& ckpt,
+                       const HydroScaling& hydro, unsigned hw,
                        bool deterministic) {
   const char* env_path = std::getenv("AQUA_BENCH_JSON");
   const std::string path = env_path != nullptr ? env_path : "BENCH_fleet.json";
@@ -569,6 +623,24 @@ void write_json_report(const std::vector<std::pair<std::string, RunResult>>& mod
             : 0.0,
         ckpt.nockpt_sps, ckpt.ckpt_sps, ckpt.ratio, ckpt.interval,
         ckpt.image_bytes, stages.thermal_step);
+    out += buf;
+  }
+  {
+    // Warm hydraulic solves at two network sizes; the ratio is gated.
+    char buf[512];
+    std::snprintf(buf, sizeof buf,
+                  "  \"hydro\": {\n"
+                  "    \"solve_1k_pipes\": %zu,\n"
+                  "    \"solve_1k_ms\": %.3f,\n"
+                  "    \"solve_1k_sweeps\": %.2f,\n"
+                  "    \"solve_10k_pipes\": %zu,\n"
+                  "    \"solve_10k_ms\": %.3f,\n"
+                  "    \"solve_10k_sweeps\": %.2f,\n"
+                  "    \"hydro_solve_10k_over_1k\": %.3f\n"
+                  "  },\n",
+                  hydro.small.pipes, hydro.small.ms, hydro.small.sweeps,
+                  hydro.large.pipes, hydro.large.ms, hydro.large.sweeps,
+                  hydro.ratio);
     out += buf;
   }
   // Re-indent the snapshot under the "metrics" key (it renders from column 0).
@@ -681,7 +753,14 @@ int main() {
               ckpt.nockpt_sps, ckpt.ckpt_sps, ckpt.interval, ckpt.ratio,
               ckpt.image_bytes);
 
-  write_json_report(results, stages, scaling, ckpt, hw, deterministic);
+  const HydroScaling hydro = measure_hydro_scaling();
+  std::printf("\nhydraulic warm solve: %.2f ms at %zu pipes (%.1f sweeps), "
+              "%.2f ms at %zu pipes (%.1f sweeps): %.1fx (CI ceiling 20)\n",
+              hydro.small.ms, hydro.small.pipes, hydro.small.sweeps,
+              hydro.large.ms, hydro.large.pipes, hydro.large.sweeps,
+              hydro.ratio);
+
+  write_json_report(results, stages, scaling, ckpt, hydro, hw, deterministic);
   if (hw <= 1)
     std::printf("note: single hardware thread — parallel modes time-slice "
                 "one core, so no wall-clock speedup is expected here.\n");

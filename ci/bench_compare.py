@@ -35,6 +35,11 @@ come in two characters:
   temp/fsync/rename) every 100 epochs, against the plain loop in the same
   binary; losing more than 10 % of throughput means checkpointing got too
   expensive for its production cadence.
+* hydro.hydro_solve_10k_over_1k <= 20        — machine-independent. Warm
+  hydraulic solves of the replicated district at 10,016 and 1,024 pipes in
+  the same binary; identical districts converge in identical sweep counts,
+  so the ratio is the per-sweep cost ratio: ~10 for a solve linear in the
+  network, >= 100 for a dense elimination.
 * scaling.fleet_scaling_efficiency >= 0.8     — machine-independent. The fleet
   sweep normalises each pool mode's speedup by min(threads, hardware threads),
   so ideal is 1.0 whether the runner has 1 core or 64; dropping below 0.8
@@ -63,6 +68,8 @@ BATCH_SPS_KEY = "channel_batch_sps"
 LANE_WIDTH_KEY = "lane_width"
 CKPT_RATIO_KEY = "fleet_ckpt_over_nockpt"
 CKPT_RATIO_FLOOR = 0.90
+HYDRO_RATIO_KEY = "hydro_solve_10k_over_1k"
+HYDRO_RATIO_CEILING = 20.0
 WARN_KEYS = [
     "amp_scalar_sps",
     "amp_block_sps",
@@ -103,7 +110,7 @@ def load_stages(path, role):
     return stages
 
 
-def gated_ratio(measured, path, key):
+def gated_ratio(measured, path, key, section="stages"):
     """A gated ratio metric, or None with a ::error that NAMES the missing
     key. Folding "missing" into 0.0 would fail the gate with a message
     blaming a perf regression that never happened — a missing key means the
@@ -111,10 +118,33 @@ def gated_ratio(measured, path, key):
     failure and needs its own message."""
     value = measured.get(key)
     if value is None:
-        print(f"::error::{path} has no stages.{key} — bench_fleet did not "
+        print(f"::error::{path} has no {section}.{key} — bench_fleet did not "
               "write this gated metric (stale bench binary or renamed key?)")
         return None
     return value
+
+
+def check_hydro(path):
+    """Gates the warm-solve ratio between the 10k- and 1k-pipe networks: a
+    property of the measured run alone, so runner speed never enters it."""
+    report = load_report(path, "measured")
+    if report is None:
+        return True
+    hydro = report.get("hydro")
+    if not isinstance(hydro, dict):
+        hydro = {}
+    ratio = gated_ratio(hydro, path, HYDRO_RATIO_KEY, section="hydro")
+    if ratio is None:
+        return True
+    print(f"{HYDRO_RATIO_KEY}: {ratio:.2f} "
+          f"(must stay <= {HYDRO_RATIO_CEILING:.0f}; ~10 when linear)")
+    if ratio > HYDRO_RATIO_CEILING:
+        print("::error::a warm hydraulic solve on 10x the pipes costs "
+              f"more than {HYDRO_RATIO_CEILING:.0f}x as much — the solve "
+              "stopped scaling with the network (a dense or quadratic path), "
+              "not a slow runner")
+        return True
+    return False
 
 
 def check_scaling(path):
@@ -162,6 +192,7 @@ def main(argv):
         return 1
 
     failed = check_scaling(argv[1])
+    failed = check_hydro(argv[1]) or failed
 
     for key in GATED_KEYS:
         if key not in measured:

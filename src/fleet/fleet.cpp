@@ -36,6 +36,12 @@ const obs::Counter kRebalances{"fleet.shard.rebalances"};
 const obs::Histogram kShardImbalance{"fleet.shard.imbalance",
                                      obs::HistogramSpec{1.0, 64.0, 24, true}};
 const obs::Gauge kShardCount{"fleet.shard.count"};
+// Hydraulic solver telemetry, per epoch: linearisation sweeps (a slow epoch
+// with many sweeps is a hard solve, not a slow sensor) and the final sweep's
+// largest head change in metres.
+const obs::Histogram kSolveIterations{"fleet.solve_iterations",
+                                      obs::HistogramSpec{1.0, 256.0, 16, true}};
+const obs::Gauge kSolveResidual{"fleet.solve_residual"};
 
 // Checkpoint sections (DESIGN.md §14).
 constexpr std::uint32_t kSectionMeta = state::section_id('M', 'E', 'T', 'A');
@@ -394,6 +400,8 @@ void FleetEngine::step_epoch(util::ThreadPool* pool) {
       kSolveFailures.add(1);
       AQUA_TRACE_INSTANT_SIM("fleet.solve_failure", t_.value());
     }
+    kSolveIterations.observe(net_.last_solve_iterations());
+    kSolveResidual.set(net_.last_solve_residual());
   }
   // Snapshot serially so every sensor task reads a frozen network state.
   snapshot_epoch_inputs();

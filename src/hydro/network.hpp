@@ -1,4 +1,4 @@
-// network.hpp — steady-state hydraulic solver for a small water-distribution
+// network.hpp — steady-state hydraulic solver for a water-distribution
 // network. The paper's motivation (§6) is "diffusive monitoring in water
 // distribution networks": many cheap insertion sensors spread over the pipes
 // so that "any malfunction behaviour (e.g. water loss in tube)" can be
@@ -7,15 +7,23 @@
 // fixed heads, Darcy–Weisbach pipes, and pressure-dependent leak emitters.
 //
 // The solver iterates successive linearisation of the head-loss relation
-// Δh = K(q)·q·|q| (friction factor refreshed from Re each sweep), assembling
-// a nodal linear system solved with the dense solver — robust for the tens of
-// nodes the monitoring scenarios use.
+// Δh = K(q)·q·|q| (friction factor refreshed from Re each sweep). Each sweep
+// assembles the nodal system — a graph Laplacian over the connected
+// junctions, about three nonzeros per row — and solves it with a sparse
+// elimination that reproduces the dense util::solve_linear bit for bit
+// (DESIGN.md §15), so a city of thousands of pipes costs what its pipes cost.
+// The sparsity pattern depends only on the open-pipe topology: it is cached
+// here, rebuilt after add_junction/add_reservoir/add_pipe, a valve change or
+// load_state, and neither serialised nor copied. On an unchanged topology a
+// solve after the first allocates nothing.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "state/serial.hpp"
+#include "util/sparse_elimination.hpp"
 #include "util/units.hpp"
 
 namespace aqua::hydro {
@@ -25,19 +33,23 @@ class WaterNetwork {
   using NodeId = std::size_t;
   using PipeId = std::size_t;
 
-  /// Junction with a consumer demand (m³/s) at the given elevation.
+  /// Junction with a consumer demand (m³/s) at the given elevation. Throws
+  /// std::invalid_argument on a non-finite elevation or demand.
   NodeId add_junction(double elevation_m, double demand_m3s = 0.0);
 
-  /// Reservoir/tank with a fixed hydraulic head (m).
+  /// Reservoir/tank with a fixed hydraulic head (m); throws
+  /// std::invalid_argument on a non-finite head.
   NodeId add_reservoir(double head_m);
 
   PipeId add_pipe(NodeId from, NodeId to, util::Metres length,
                   util::Metres diameter, double roughness_mm = 0.1);
 
+  /// Throws std::invalid_argument on a reservoir or a non-finite demand.
   void set_demand(NodeId junction, double demand_m3s);
 
   /// Scales every junction demand by `factor` (diurnal pattern: night flow
-  /// ~0.3, morning peak ~1.6 of the base demand).
+  /// ~0.3, morning peak ~1.6 of the base demand). Throws
+  /// std::invalid_argument on a negative or non-finite factor.
   void scale_demands(double factor);
 
   /// Opens/closes an isolation valve on a pipe. A closed pipe carries
@@ -47,12 +59,22 @@ class WaterNetwork {
   [[nodiscard]] bool pipe_open(PipeId p) const;
 
   /// Leak emitter at a junction: q_leak = C·√(pressure head). C in
-  /// m³/s per √m; 0 removes the leak.
+  /// m³/s per √m; 0 removes the leak. Throws std::invalid_argument on a
+  /// reservoir or a negative or non-finite coefficient.
   void set_leak(NodeId junction, double emitter_coefficient);
 
-  /// Solves the network. Returns false if the iteration failed to converge
-  /// (the previous solution is left in place).
+  /// Solves the network. Returns false when the iteration does not converge
+  /// within 200 sweeps, the nodal system is singular, or a head iterate is
+  /// non-finite; every head and flow is then left as it was on entry.
+  /// Throws std::logic_error when the network has no reservoir.
   [[nodiscard]] bool solve(util::Kelvin water_temperature = util::celsius(15.0));
+
+  // --- solver telemetry: the last solve(), converged or not ---
+  /// Linearisation sweeps it ran (0 when no junction was connected).
+  [[nodiscard]] int last_solve_iterations() const { return last_iterations_; }
+  /// Largest head change (m) in its final sweep: below 1e-7 once converged,
+  /// +inf when a head iterate was non-finite.
+  [[nodiscard]] double last_solve_residual() const { return last_residual_; }
 
   // --- topology/geometry accessors (fleet attachment, mass-balance checks) ---
   [[nodiscard]] NodeId pipe_from(PipeId p) const;
@@ -90,6 +112,7 @@ class WaterNetwork {
     }
   }
   void load_state(state::Reader& r) {
+    solver_.valid = false;  // valve states come from the image
     if (r.size(24) != nodes_.size())
       throw state::Error("WaterNetwork: node count mismatch");
     for (Node& n : nodes_) {
@@ -120,8 +143,43 @@ class WaterNetwork {
     bool open = true;
   };
 
+  static constexpr std::size_t kNone = SIZE_MAX;
+
+  // A pipe's four nodal-matrix entries (from,from), (from,to), (to,to),
+  // (to,from) as slots of the system; kNone where an end is not an unknown.
+  struct PipeSlots {
+    std::size_t ff, ft, tt, tf;
+  };
+
+  // State derived from the open-pipe topology, rebuilt by solve() when stale.
+  // A copy (or move) of the network starts without it and rebuilds it on its
+  // first solve, so network copies stay as small as their nodes and pipes.
+  struct Solver {
+    Solver() = default;
+    Solver(const Solver&) {}
+    Solver& operator=(const Solver&) {
+      valid = false;
+      return *this;
+    }
+
+    bool valid = false;
+    bool has_reservoir = false;
+    std::vector<std::size_t> unknown_of;  // node → unknown, or kNone
+    std::vector<PipeSlots> slots;
+    util::SparseElimination system;
+    // Per-solve scratch: each pipe's linearised resistance K·max(|q|, q_floor)
+    // for the current sweep, and the heads and flows a failed solve restores.
+    std::vector<double> resistance, saved_heads, saved_flows;
+  };
+
+  void rebuild_solver();
+
   std::vector<Node> nodes_;
   std::vector<Pipe> pipes_;
+  Solver solver_;
+
+  int last_iterations_ = 0;
+  double last_residual_ = 0.0;
 };
 
 }  // namespace aqua::hydro

@@ -1,12 +1,8 @@
 // test_block_alloc.cpp — proves the steady-state frame loop allocates nothing.
 // The block-execution contract (DESIGN.md §9) promises that once the per-node
-// scratch is sized, tick_frame()/process_frame() run allocation-free; this TU
-// replaces the global operator new/delete with counting forwarders and asserts
-// a zero delta across settled frames. The override is process-wide, but it
-// only counts — behaviour of every other test in this binary is unchanged.
-#include <atomic>
-#include <cstdlib>
-#include <new>
+// scratch is sized, tick_frame()/process_frame() run allocation-free; this
+// file counts global allocations (alloc_counter.hpp) and asserts a zero delta
+// across settled frames.
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,51 +12,7 @@
 #include "isif/channel.hpp"
 #include "util/rng.hpp"
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define AQUA_SANITIZED 1
-#endif
-#if !defined(AQUA_SANITIZED) && defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define AQUA_SANITIZED 1
-#endif
-#endif
-
-namespace {
-std::atomic<long> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(align);
-  const std::size_t n = ((size ? size : 1) + a - 1) / a * a;  // aligned_alloc
-  if (void* p = std::aligned_alloc(a, n)) return p;            // needs n % a == 0
-  throw std::bad_alloc{};
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+#include "alloc_counter.hpp"
 
 namespace aqua::cta {
 namespace {
@@ -84,9 +36,9 @@ TEST(BlockAllocation, ChannelProcessFrameIsAllocationFree) {
   isif::InputChannel ch{cfg, Rng{61}};
   std::vector<double> frame(static_cast<std::size_t>(cfg.decimation), 1e-3);
   (void)ch.process_frame(frame);  // warm-up: anything lazily sized, sizes now
-  const long before = g_allocations.load(std::memory_order_relaxed);
+  const long before = allocation_count();
   for (int f = 0; f < 20; ++f) (void)ch.process_frame(frame);
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0);
+  EXPECT_EQ(allocation_count() - before, 0);
 #endif
 }
 
@@ -99,9 +51,9 @@ TEST(BlockAllocation, AnemometerTickFrameIsAllocationFree) {
   const auto env = flowing_water();
   anemo.run(Seconds{0.05}, env);  // settle + size every scratch buffer
   ASSERT_EQ(anemo.tick_phase(), 0);
-  const long before = g_allocations.load(std::memory_order_relaxed);
+  const long before = allocation_count();
   for (int f = 0; f < 20; ++f) anemo.tick_frame(env);
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0);
+  EXPECT_EQ(allocation_count() - before, 0);
 #endif
 }
 

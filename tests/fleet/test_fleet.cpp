@@ -4,6 +4,7 @@
 // "immediately localized and isolated" vision).
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -11,6 +12,7 @@
 
 #include "core/rig.hpp"
 #include "fleet/fleet.hpp"
+#include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace aqua::fleet {
@@ -179,6 +181,28 @@ TEST(FleetEngine, AccessorsAndLatestEstimates) {
   EXPECT_NEAR(engine.now().value(), 0.5, 1e-9);  // commission doesn't advance t
   const auto estimates = engine.latest_estimates();
   ASSERT_EQ(estimates.size(), 5u);
+}
+
+TEST(FleetEngine, RecordsSolverTelemetryEveryEpoch) {
+  const auto observations = [] {
+    for (const auto& h : obs::Registry::instance().snapshot().histograms)
+      if (h.name == "fleet.solve_iterations") return h.count;
+    return std::uint64_t{0};
+  };
+  const auto residual = [] {
+    for (const auto& g : obs::Registry::instance().snapshot().gauges)
+      if (g.name == "fleet.solve_residual") return g.value;
+    return -1.0;
+  };
+  District d = make_small_district();
+  FleetEngine engine(d.net, d.placements, make_config());
+  const std::uint64_t before = observations();
+  constexpr int kEpochs = 3;
+  for (int e = 0; e < kEpochs; ++e) engine.step_epoch();
+  EXPECT_EQ(observations() - before, static_cast<std::uint64_t>(kEpochs));
+  EXPECT_GT(engine.network().last_solve_iterations(), 0);
+  EXPECT_EQ(residual(), engine.network().last_solve_residual());
+  EXPECT_LT(residual(), 1e-7);
 }
 
 TEST(FleetEngine, ThrowsWhenInitialSolveFails) {

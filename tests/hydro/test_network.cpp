@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "hydro/profiles.hpp"
 #include "phys/fluid.hpp"
@@ -190,9 +194,104 @@ TEST(WaterNetwork, Validation) {
   EXPECT_THROW(net.set_demand(res, 0.1), std::invalid_argument);
   EXPECT_THROW(net.set_leak(res, 0.1), std::invalid_argument);
   EXPECT_THROW(net.set_leak(j, -0.1), std::invalid_argument);
+  // Non-finite inputs are refused where they enter, not found later as NaN
+  // heads behind a "converged" solve.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (double bad : {kNan, kInf, -kInf}) {
+    EXPECT_THROW(net.set_demand(j, bad), std::invalid_argument);
+    EXPECT_THROW(net.set_leak(j, bad), std::invalid_argument);
+    EXPECT_THROW(net.scale_demands(bad), std::invalid_argument);
+    EXPECT_THROW((void)net.add_junction(bad), std::invalid_argument);
+    EXPECT_THROW((void)net.add_junction(0.0, bad), std::invalid_argument);
+    EXPECT_THROW((void)net.add_reservoir(bad), std::invalid_argument);
+  }
+  EXPECT_EQ(net.node_count(), 2u);
+  EXPECT_EQ(net.node_demand(j), 0.0);
   WaterNetwork no_res;
   no_res.add_junction(0.0, 0.01);
   EXPECT_THROW((void)no_res.solve(), std::logic_error);
+}
+
+struct Snapshot {
+  std::vector<std::uint64_t> heads, flows;
+};
+
+Snapshot bits(const WaterNetwork& net) {
+  Snapshot s;
+  for (std::size_t n = 0; n < net.node_count(); ++n)
+    s.heads.push_back(std::bit_cast<std::uint64_t>(net.node_head(n)));
+  for (std::size_t p = 0; p < net.pipe_count(); ++p)
+    s.flows.push_back(std::bit_cast<std::uint64_t>(net.pipe_flow(p)));
+  return s;
+}
+
+TEST(WaterNetwork, NonFiniteHeadIterateFailsTheSolve) {
+  WaterNetwork net;
+  const auto res = net.add_reservoir(50.0);
+  const auto j = net.add_junction(0.0, 0.01);
+  net.add_pipe(res, j, metres(500.0), millimetres(150.0));
+  ASSERT_TRUE(net.solve());
+  const Snapshot before = bits(net);
+
+  // Every input is finite, but the scaled demand overflows to +inf.
+  net.set_demand(j, 1e308);
+  net.scale_demands(10.0);
+  EXPECT_FALSE(net.solve());
+  EXPECT_EQ(net.last_solve_iterations(), 1);  // caught in the first sweep
+  EXPECT_EQ(net.last_solve_residual(), std::numeric_limits<double>::infinity());
+  const Snapshot after = bits(net);
+  EXPECT_EQ(after.heads, before.heads);
+  EXPECT_EQ(after.flows, before.flows);
+}
+
+TEST(WaterNetwork, FailedSolveLeavesThePreviousSolution) {
+  WaterNetwork net;
+  const auto res = net.add_reservoir(50.0);
+  const auto a = net.add_junction(0.0, 0.004);
+  const auto b = net.add_junction(0.0, 0.0);
+  const auto loose = net.add_junction(3.0, 0.0);
+  net.add_pipe(res, a, metres(400.0), millimetres(150.0));
+  net.add_pipe(a, b, metres(300.0), millimetres(80.0));
+  const auto to_loose = net.add_pipe(a, loose, metres(100.0), millimetres(80.0));
+  // The last good solve sees `loose` isolated; the failing one reconnects
+  // it, so restoring must also put back its depressurised head.
+  net.set_pipe_open(to_loose, false);
+  ASSERT_TRUE(net.solve());
+  net.set_pipe_open(to_loose, true);
+  const Snapshot before = bits(net);
+
+  // An emitter this large makes the leak fixed point oscillate: no
+  // convergence within the sweep budget.
+  net.set_leak(b, 0.01);
+  EXPECT_FALSE(net.solve());
+  EXPECT_EQ(net.last_solve_iterations(), 200);
+  EXPECT_GT(net.last_solve_residual(), 1e-7);
+  const Snapshot after = bits(net);
+  EXPECT_EQ(after.heads, before.heads);
+  EXPECT_EQ(after.flows, before.flows);
+
+  // The network is still usable: remove the leak and it solves again.
+  net.set_leak(b, 0.0);
+  EXPECT_TRUE(net.solve());
+}
+
+TEST(WaterNetwork, SolverTelemetry) {
+  WaterNetwork net;
+  const auto res = net.add_reservoir(50.0);
+  const auto j = net.add_junction(0.0, 0.01);
+  const auto p = net.add_pipe(res, j, metres(500.0), millimetres(150.0));
+  EXPECT_EQ(net.last_solve_iterations(), 0);
+  ASSERT_TRUE(net.solve());
+  EXPECT_GT(net.last_solve_iterations(), 4);
+  EXPECT_LE(net.last_solve_iterations(), 200);
+  EXPECT_LT(net.last_solve_residual(), 1e-7);
+
+  // No connected junction: nothing to iterate.
+  net.set_pipe_open(p, false);
+  ASSERT_TRUE(net.solve());
+  EXPECT_EQ(net.last_solve_iterations(), 0);
+  EXPECT_EQ(net.last_solve_residual(), 0.0);
 }
 
 }  // namespace

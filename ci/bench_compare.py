@@ -46,9 +46,26 @@ come in two characters:
   means the sharded epoch loop stopped scaling (serialisation, queue overhead,
   imbalance), not that the runner is slow. scaling.deterministic must also be
   true — a checksum mismatch at 1k sensors is a broken determinism contract.
+  With fewer than 2 hardware threads the normalisation divides by 1, so a
+  fully serialised loop still scores ~1.0: the script then prints a
+  ::warning:: that the gate was not exercised.
 
 Other stage rates are reported but only warn: they feed the artifact for
 trend-watching, not the gate.
+
+The trajectory across changes lives in ci/bench_history.jsonl, since the
+BENCH_*.json files are not committed. It holds one JSON object per line,
+appended by hand with each change that moves these numbers:
+  change, commit, date  what was measured; "commit" is the commit, or
+                        "<hash>+" for a change not yet committed on top of it
+  box, nproc, lane_width  the machine and the compiled SIMD lane width
+  fleet_scaling_efficiency  from this report's "scaling" block
+  completion_sensors, completion_wall_s, completion_checksum
+                        bench_fleet's 10k-sensor completion run on pool(nproc)
+  district_1k_sensor_sim_s_per_wall_s, city_1_5k_sensor_sim_s_per_wall_s
+                        fleetbench throughput (median over runs)
+  note                  how many runs, which seed, anything unusual
+This script does not read it.
 
 Usage: ci/bench_compare.py BENCH_fleet.json ci/bench_baseline.json
 """
@@ -172,6 +189,11 @@ def check_scaling(path):
     print(f"fleet_scaling_efficiency: {efficiency:.2f} at {sensors} sensors, "
           f"{hw} hardware threads "
           f"(must stay >= {SCALING_EFFICIENCY_FLOOR:.1f}; ideal 1.0)")
+    if hw < 2:
+        print(f"::warning::fleet_scaling_efficiency was measured on {hw} "
+              "hardware thread(s): every pool mode is normalised by 1, so "
+              "even a fully serialised epoch loop passes — the scaling gate "
+              "was not exercised on this runner")
     if efficiency < SCALING_EFFICIENCY_FLOOR:
         print("::error::the sharded fleet epoch loop fell below "
               f"{SCALING_EFFICIENCY_FLOOR:.0%} of ideal thread scaling — "

@@ -30,8 +30,10 @@ const obs::Histogram kEpochWall{"fleet.epoch_wall_seconds",
                                 obs::HistogramSpec{1e-5, 100.0, 42, true}};
 const obs::Histogram kSensorStepWall{"fleet.sensor_step_wall_seconds",
                                      obs::HistogramSpec{1e-6, 10.0, 42, true}};
-// Sharding telemetry: how often the planner ran and how balanced its output
-// was (max shard cost over mean — 1.0 is a perfect split).
+// Sharding telemetry: how often the planner ran, and how balanced each
+// sharded epoch really was — max over mean of the per-shard busy seconds
+// measured with the clock (1.0 is a perfect split; k shards with all the work
+// in one read k).
 const obs::Counter kRebalances{"fleet.shard.rebalances"};
 const obs::Histogram kShardImbalance{"fleet.shard.imbalance",
                                      obs::HistogramSpec{1.0, 64.0, 24, true}};
@@ -253,7 +255,6 @@ void FleetEngine::rebalance_shards(std::size_t shard_count) {
   ++rebalances_;
   kRebalances.add(1);
   kShardCount.set(static_cast<double>(plan_.shard_count()));
-  kShardImbalance.observe(shard_imbalance(plan_, hot_.cost_ewma_s));
   AQUA_TRACE_INSTANT_SIM("fleet.shard_rebalance", t_.value());
 }
 
@@ -310,9 +311,12 @@ PipeState FleetEngine::snapshot_state(std::size_t i) const {
   return state;
 }
 
-void FleetEngine::advance_sensor(std::size_t i) {
-  const obs::ScopedSpan sensor_span{"fleet.sensor", t_.value(),
-                                    static_cast<double>(i)};
+void FleetEngine::advance_sensor(std::size_t i, bool sampled) {
+  // One span per sensor per epoch would wrap a thread's trace ring within a
+  // few epochs of a 1k-sensor fleet, so only the sampled sensor emits one.
+  std::optional<obs::ScopedSpan> sensor_span;
+  if (sampled)
+    sensor_span.emplace("fleet.sensor", t_.value(), static_cast<double>(i));
   const auto t0 = std::chrono::steady_clock::now();
 
   nodes_[i]->advance(snapshot_state(i), config_.epoch);
@@ -363,7 +367,7 @@ void FleetEngine::advance_sensor_group(std::span<const std::uint32_t> ids) {
 
 void FleetEngine::advance_sensors(std::span<const std::uint32_t> ids) {
   if (config_.execution != ChannelExecution::kSimdBatch) {
-    for (const std::uint32_t i : ids) advance_sensor(i);
+    for (const std::uint32_t i : ids) advance_sensor(i, i == ids.front());
     return;
   }
   // Batch mode: frame-aligned sensors form one lane group (ascending shard
@@ -377,15 +381,35 @@ void FleetEngine::advance_sensors(std::span<const std::uint32_t> ids) {
     if (nodes_[i]->batch_eligible())
       batch_ids.push_back(i);
     else
-      advance_sensor(i);
+      advance_sensor(i, i == ids.front());
   }
   advance_sensor_group(batch_ids);
 }
 
 void FleetEngine::process_shard(std::size_t shard) {
+  const std::vector<std::uint32_t>& ids = plan_.shards[shard];
+  if (ids.empty()) {
+    shard_busy_s_[shard] = 0.0;
+    return;
+  }
   const obs::ScopedSpan shard_span{"fleet.shard", t_.value(),
                                    static_cast<double>(shard)};
-  advance_sensors(plan_.shards[shard]);
+  const auto t0 = std::chrono::steady_clock::now();
+  advance_sensors(ids);
+  shard_busy_s_[shard] = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+}
+
+void FleetEngine::observe_shard_balance() const {
+  double sum = 0.0, max = 0.0;
+  for (const double busy : shard_busy_s_) {
+    sum += busy;
+    max = std::max(max, busy);
+  }
+  if (sum > 0.0)
+    kShardImbalance.observe(
+        max * static_cast<double>(shard_busy_s_.size()) / sum);
 }
 
 void FleetEngine::step_epoch(util::ThreadPool* pool) {
@@ -409,10 +433,13 @@ void FleetEngine::step_epoch(util::ThreadPool* pool) {
   const bool use_team = team_ != nullptr && pool == team_pool_;
   if (use_team) {
     ensure_plan(team_->workers());
+    shard_busy_s_.assign(plan_.shard_count(), 0.0);
     team_->run_epoch();  // barrier out, barrier in — zero enqueues
+    observe_shard_balance();
   } else if (pool != nullptr) {
     // One coarse task per shard per epoch — never a per-sensor micro-task.
     ensure_plan(pool->thread_count());
+    shard_busy_s_.assign(plan_.shard_count(), 0.0);
     std::vector<std::future<void>> futures;
     futures.reserve(plan_.shard_count());
     for (std::size_t s = 0; s < plan_.shard_count(); ++s)
@@ -426,6 +453,7 @@ void FleetEngine::step_epoch(util::ThreadPool* pool) {
       }
     }
     if (first) std::rethrow_exception(first);
+    observe_shard_balance();
   } else {
     // Serial epoch: the whole fleet is one "shard" (in batch mode that means
     // one lane group per epoch — chunking differences never change results).
@@ -435,6 +463,7 @@ void FleetEngine::step_epoch(util::ThreadPool* pool) {
       for (std::size_t i = 0; i < nodes_.size(); ++i)
         all_ids[i] = static_cast<std::uint32_t>(i);
     }
+    shard_busy_s_.clear();
     advance_sensors(all_ids);
   }
 

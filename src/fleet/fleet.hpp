@@ -51,9 +51,11 @@ namespace aqua::fleet {
 
 /// Knobs of the cost-balanced sharding layer.
 struct ShardingConfig {
-  /// Auto-rebalance cadence, in epochs (0 = plan once, never rebalance).
-  /// Rebalancing happens serially between epochs and never changes results —
-  /// only wall-clock balance.
+  /// Auto-rebalance cadence, in epochs (0 = plan once, never rebalance). The
+  /// first plan is made before any cost is measured and splits the fleet by
+  /// count, so interval 0 still runs on every shard — it just never moves a
+  /// sensor afterwards. Rebalancing happens serially between epochs and never
+  /// changes results — only wall-clock balance.
   long long rebalance_interval_epochs = 16;
   /// EWMA smoothing of the measured per-sensor step wall time:
   /// cost ← (1−α)·cost + α·measured.
@@ -215,6 +217,14 @@ class FleetEngine {
   void rebalance_shards(std::size_t shard_count);
   [[nodiscard]] long long rebalances() const { return rebalances_; }
 
+  /// Wall-clock seconds each shard of the current plan spent stepping its
+  /// sensors in the last sharded epoch (0.0 for an empty shard; empty after
+  /// a serial epoch). Max over mean of these is what fleet.shard.imbalance
+  /// observes each epoch.
+  [[nodiscard]] std::span<const double> shard_busy_seconds() const {
+    return shard_busy_s_;
+  }
+
   /// Per-sensor predicted step cost (seconds; EWMA of measured wall time
   /// unless pinned via set_cost_hint with measurement off).
   [[nodiscard]] double cost_estimate(std::size_t i) const {
@@ -304,8 +314,9 @@ class FleetEngine {
   [[nodiscard]] PipeState snapshot_state(std::size_t i) const;
   /// Advances sensor `i` one epoch from the SoA inputs and publishes its
   /// sample fields + measured cost back into the SoA outputs. Runs on pool
-  /// workers for disjoint `i` — everything it touches is per-sensor.
-  void advance_sensor(std::size_t i);
+  /// workers for disjoint `i` — everything it touches is per-sensor. Only a
+  /// `sampled` sensor emits a fleet.sensor trace span.
+  void advance_sensor(std::size_t i, bool sampled);
   /// Advances the sensors in `ids` one epoch as a single cross-sensor SIMD
   /// group (SensorNode::advance_group) and publishes each one's sample. The
   /// group wall time is split evenly across the members for the cost model.
@@ -319,8 +330,12 @@ class FleetEngine {
   void publish_sample(std::size_t i);
   /// Folds a measured per-sensor step wall time into the EWMA cost model.
   void record_cost(std::size_t i, double seconds);
-  /// Runs one shard of the current plan (ascending sensor order).
+  /// Runs one shard of the current plan (ascending sensor order) and records
+  /// its wall time in shard_busy_s_[shard].
   void process_shard(std::size_t shard);
+  /// Observes max over mean of the epoch's per-shard busy seconds into the
+  /// fleet.shard.imbalance histogram.
+  void observe_shard_balance() const;
   /// Makes sure plan_ is a partition sized for `shard_count` shards, and
   /// applies the between-epochs auto-rebalance cadence.
   void ensure_plan(std::size_t shard_count);
@@ -357,6 +372,7 @@ class FleetEngine {
   HotState hot_;
 
   ShardPlan plan_;
+  std::vector<double> shard_busy_s_;  // per shard, written by its worker
   bool plan_manual_ = false;
   long long epoch_index_ = 0;
   long long rebalances_ = 0;

@@ -26,13 +26,29 @@ ShardPlan plan_shards(std::span<const double> costs, std::size_t shard_count) {
   ShardPlan plan;
   plan.shards.resize(shard_count);
 
+  // Unmeasured sensors (cost <= 0, or NaN) are planned at the measured mean,
+  // or at 1.0 on a cold fleet: counting them as free would stack them all on
+  // the lightest shard, which stays shard 0 while its load is zero.
+  double measured_sum = 0.0;
+  std::size_t measured = 0;
+  for (const double c : costs)
+    if (c > 0.0) {
+      measured_sum += c;
+      ++measured;
+    }
+  const double unmeasured =
+      measured > 0 ? measured_sum / static_cast<double>(measured) : 1.0;
+  std::vector<double> cost(costs.size());
+  for (std::size_t i = 0; i < costs.size(); ++i)
+    cost[i] = costs[i] > 0.0 ? costs[i] : unmeasured;
+
   // LPT: heaviest sensors first, ties broken by ascending index so the plan
   // is a pure function of its inputs.
-  std::vector<std::uint32_t> order(costs.size());
+  std::vector<std::uint32_t> order(cost.size());
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(),
-            [&costs](std::uint32_t a, std::uint32_t b) {
-              if (costs[a] != costs[b]) return costs[a] > costs[b];
+            [&cost](std::uint32_t a, std::uint32_t b) {
+              if (cost[a] != cost[b]) return cost[a] > cost[b];
               return a < b;
             });
 
@@ -44,7 +60,7 @@ ShardPlan plan_shards(std::span<const double> costs, std::size_t shard_count) {
     for (std::size_t s = 1; s < shard_count; ++s)
       if (load[s] < load[lightest]) lightest = s;
     plan.shards[lightest].push_back(sensor);
-    load[lightest] += std::max(costs[sensor], 0.0);
+    load[lightest] += cost[sensor];
   }
   for (auto& shard : plan.shards) std::sort(shard.begin(), shard.end());
   return plan;
@@ -57,18 +73,6 @@ std::vector<double> shard_costs(const ShardPlan& plan,
     for (const std::uint32_t i : plan.shards[s])
       if (i < costs.size()) totals[s] += std::max(costs[i], 0.0);
   return totals;
-}
-
-double shard_imbalance(const ShardPlan& plan, std::span<const double> costs) {
-  const std::vector<double> totals = shard_costs(plan, costs);
-  if (totals.empty()) return 1.0;
-  double sum = 0.0, max = 0.0;
-  for (const double t : totals) {
-    sum += t;
-    max = std::max(max, t);
-  }
-  const double mean = sum / static_cast<double>(totals.size());
-  return mean > 0.0 ? max / mean : 1.0;
 }
 
 }  // namespace aqua::fleet

@@ -9,6 +9,12 @@
 // them (longest processing time first: sort by cost descending, always assign
 // to the currently lightest shard — a 4/3-approximation of the optimum).
 //
+// A sensor whose cost has not been measured yet (cost <= 0: a fresh engine,
+// or a sensor that has never stepped) is planned at the mean of the measured
+// costs, or at 1.0 when nothing has been measured. A cold fleet therefore
+// splits by count across every shard instead of piling into shard 0, and a
+// partly measured one stays balanced.
+//
 // Costs are wall-clock measurements, so the resulting partition is
 // scheduling-dependent and explicitly OUTSIDE the determinism contract; what
 // the contract demands — and tests/fleet/test_scaling.cpp proves — is that
@@ -39,18 +45,15 @@ struct ShardPlan {
 
 /// LPT cost-balanced partition of `costs.size()` sensors into `shard_count`
 /// shards (empty shards are legal when sensors < shards). `shard_count` == 0
-/// is promoted to 1. Deterministic for equal inputs.
+/// is promoted to 1. A cost <= 0 (or NaN) means "not measured": that sensor
+/// is planned at the mean of the positive costs, or at 1.0 if there are none,
+/// so all-zero costs give shard sizes that differ by at most one.
+/// Deterministic for equal inputs.
 [[nodiscard]] ShardPlan plan_shards(std::span<const double> costs,
                                     std::size_t shard_count);
 
 /// Predicted cost of each shard under the given per-sensor costs.
 [[nodiscard]] std::vector<double> shard_costs(const ShardPlan& plan,
                                               std::span<const double> costs);
-
-/// Load-balance quality: max shard cost over mean shard cost (>= 1.0; 1.0 is
-/// a perfect split). Returns 1.0 for degenerate inputs (no shards, zero total
-/// cost) so callers can feed it straight into a histogram.
-[[nodiscard]] double shard_imbalance(const ShardPlan& plan,
-                                     std::span<const double> costs);
 
 }  // namespace aqua::fleet

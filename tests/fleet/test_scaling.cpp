@@ -1,16 +1,20 @@
 // Scaling battery for the cost-balanced sharded epoch loop: LPT planner
-// properties, 1k-sensor bit-identity across thread counts under adversarial
-// cost skew, mid-run rebalances and pathological manual plans, the "shard
-// assignment never changes RNG stream consumption" property, and the
-// one-task-per-shard-per-epoch regression gate on the pool task counter
-// (the old fork/join loop fed ~13 micro-tasks per epoch; this suite pins the
-// new contract).
+// properties (including the cold plan for sensors with no measured cost),
+// 1k-sensor bit-identity across thread counts under adversarial cost skew,
+// mid-run rebalances and pathological manual plans, the "shard assignment
+// never changes RNG stream consumption" property, the one-task-per-shard-
+// per-epoch regression gate on the pool task counter (the old fork/join loop
+// fed ~13 micro-tasks per epoch; this suite pins the new contract), every
+// worker busy from epoch 0, the measured shard-imbalance metric, and a traced
+// 1k-sensor run that fits the trace ring.
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +23,7 @@
 #include "fleet/fleet.hpp"
 #include "fleet/shard.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -67,9 +72,54 @@ TEST(ShardPlanner, SpreadsFiftyTimesSlowerSensorsOnePerShard) {
     for (const std::uint32_t i : shard) heavy += (costs[i] == 50.0) ? 1 : 0;
     EXPECT_EQ(heavy, 1);
   }
-  EXPECT_DOUBLE_EQ(shard_imbalance(plan, costs), 1.0);
   const std::vector<double> totals = shard_costs(plan, costs);
   for (const double t : totals) EXPECT_DOUBLE_EQ(t, 57.0);
+}
+
+// Sizes of the shards of `plan`, smallest and largest.
+std::pair<std::size_t, std::size_t> shard_size_range(const ShardPlan& plan) {
+  std::size_t smallest = SIZE_MAX, largest = 0;
+  for (const auto& shard : plan.shards) {
+    smallest = std::min(smallest, shard.size());
+    largest = std::max(largest, shard.size());
+  }
+  return {smallest, largest};
+}
+
+TEST(ShardPlanner, AllZeroCostsSplitByCount) {
+  // A fresh engine's cost model is all zeros. Counting those sensors as free
+  // once stacked the whole fleet on shard 0; now they split by count.
+  for (std::size_t n : {std::size_t{1}, std::size_t{5}, std::size_t{97},
+                        std::size_t{1024}})
+    for (std::size_t shards : {std::size_t{1}, std::size_t{3}, std::size_t{4},
+                               std::size_t{8}}) {
+      const std::vector<double> costs(n, 0.0);
+      const ShardPlan plan = plan_shards(costs, shards);
+      ASSERT_TRUE(plan.is_partition_of(n)) << n << " sensors, " << shards;
+      const auto [smallest, largest] = shard_size_range(plan);
+      EXPECT_LE(largest - smallest, 1u) << n << " sensors, " << shards;
+    }
+}
+
+TEST(ShardPlanner, UnmeasuredSensorsCountAtTheMeasuredMean) {
+  // One sensor measured at 10, four unmeasured: each unmeasured one counts
+  // as 10 too, so LPT alternates the five over two shards. (Counted as 1.0
+  // they would all land beside each other, opposite the measured sensor.)
+  const std::vector<double> one_measured{10.0, 0.0, 0.0, 0.0, 0.0};
+  const ShardPlan alternated = plan_shards(one_measured, 2);
+  EXPECT_EQ(alternated.shards[0], (std::vector<std::uint32_t>{0, 2, 4}));
+  EXPECT_EQ(alternated.shards[1], (std::vector<std::uint32_t>{1, 3}));
+
+  // Measured 6 and 2 (mean 4) plus six unmeasured sensors: at 4 apiece the
+  // fleet weighs 32, and LPT splits it 16/16.
+  const std::vector<double> mixed{6.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0};
+  const ShardPlan plan = plan_shards(mixed, 2);
+  ASSERT_TRUE(plan.is_partition_of(mixed.size()));
+  std::vector<double> planned = mixed;
+  for (double& c : planned)
+    if (c <= 0.0) c = 4.0;
+  for (const double total : shard_costs(plan, planned))
+    EXPECT_DOUBLE_EQ(total, 16.0);
 }
 
 // --- fleet fixtures ---------------------------------------------------------
@@ -349,6 +399,134 @@ TEST(FleetScaling, TeamSessionCostsOneParkedTaskPerWorker) {
   // per-epoch enqueues.
   EXPECT_EQ(team_tasks, pool.thread_count());
   EXPECT_EQ(engine.epochs(), 10);
+}
+
+// --- every worker busy from epoch 0 ------------------------------------------
+
+// A fresh engine has measured no cost yet. Its first plan must still give
+// every worker a share — by count — and every shard must measure busy time.
+void expect_every_shard_busy(const FleetEngine& engine, std::size_t workers,
+                             const char* label) {
+  const ShardPlan& plan = engine.shard_plan();
+  ASSERT_EQ(plan.shard_count(), workers) << label;
+  ASSERT_TRUE(plan.is_partition_of(engine.size())) << label;
+  const auto [smallest, largest] = shard_size_range(plan);
+  EXPECT_GT(smallest, 0u) << label << ": empty shard";
+  EXPECT_LE(largest - smallest, 1u) << label;
+  ASSERT_EQ(engine.shard_busy_seconds().size(), workers) << label;
+  for (std::size_t s = 0; s < workers; ++s)
+    EXPECT_GT(engine.shard_busy_seconds()[s], 0.0) << label << " shard " << s;
+}
+
+TEST(FleetScaling, ColdPlanUsesEveryWorkerInATeamSession) {
+  District d = make_district(1);
+  FleetEngine engine(d.net, d.placements, make_config());
+  engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
+  util::ThreadPool pool{4};
+  FleetEngine::TeamSession session{engine, &pool};
+  engine.step_epoch(&pool);
+  expect_every_shard_busy(engine, pool.thread_count(), "team, epoch 0");
+}
+
+TEST(FleetScaling, ColdPlanUsesEveryWorkerOnTheCoarsePath) {
+  District d = make_district(1);
+  FleetEngine engine(d.net, d.placements, make_config());
+  engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
+  util::ThreadPool pool{4};
+  engine.step_epoch(&pool);
+  expect_every_shard_busy(engine, pool.thread_count(), "coarse, epoch 0");
+}
+
+TEST(FleetScaling, ColdPlanUsesEveryWorkerWithoutRebalancing) {
+  // Interval 0 plans once and never again: that one plan must already be
+  // spread, or the whole run stays on one worker.
+  District d = make_district(1);
+  FleetConfig cfg = make_config();
+  cfg.sharding.rebalance_interval_epochs = 0;
+  FleetEngine engine(d.net, d.placements, cfg);
+  engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
+  util::ThreadPool pool{4};
+  engine.step_epoch(&pool);
+  expect_every_shard_busy(engine, pool.thread_count(), "interval 0, epoch 0");
+  const ShardPlan first = engine.shard_plan();
+  for (int e = 0; e < 3; ++e) engine.step_epoch(&pool);
+  EXPECT_EQ(engine.shard_plan().shards, first.shards);
+  EXPECT_EQ(engine.rebalances(), 1);
+  expect_every_shard_busy(engine, pool.thread_count(), "interval 0, epoch 3");
+}
+
+// --- measured shard imbalance -------------------------------------------------
+
+std::pair<std::uint64_t, double> histogram_count_and_sum(
+    const std::string& name) {
+  const auto snap = obs::Registry::instance().snapshot();
+  for (const auto& h : snap.histograms)
+    if (h.name == name) return {h.count, h.sum};
+  return {0, 0.0};
+}
+
+// All the work in one of four shards must read 4 — measured from the clock,
+// where the cost model's prediction at rebalance time read a perfect 1.0
+// for a cold fleet piled into shard 0. The cost model is frozen at all
+// zeros here, so only the clock can tell the shards apart.
+TEST(FleetScaling, ShardImbalanceMeasuresBusyTime) {
+  District d = make_district(1);
+  FleetConfig cfg = make_config();
+  cfg.sharding.measure_costs = false;
+  FleetEngine engine(d.net, d.placements, cfg);
+  engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
+  ShardPlan pinned;
+  pinned.shards.resize(4);
+  for (std::uint32_t i = 0; i < engine.size(); ++i)
+    pinned.shards[0].push_back(i);
+  engine.set_shard_plan(pinned);
+  util::ThreadPool pool{4};
+
+  const auto [count_before, sum_before] =
+      histogram_count_and_sum("fleet.shard.imbalance");
+  constexpr int kEpochs = 2;
+  for (int e = 0; e < kEpochs; ++e) engine.step_epoch(&pool);
+  const auto [count_after, sum_after] =
+      histogram_count_and_sum("fleet.shard.imbalance");
+
+  ASSERT_EQ(count_after - count_before, static_cast<std::uint64_t>(kEpochs));
+  EXPECT_DOUBLE_EQ((sum_after - sum_before) / kEpochs, 4.0);
+  const auto busy = engine.shard_busy_seconds();
+  ASSERT_EQ(busy.size(), 4u);
+  EXPECT_GT(busy[0], 0.0);
+  for (std::size_t s = 1; s < busy.size(); ++s) EXPECT_EQ(busy[s], 0.0);
+}
+
+// --- trace ring budget --------------------------------------------------------
+
+// A span per sensor per epoch overflowed the 8192-event ring within four
+// epochs of a 1k-sensor serial run, losing the start of the trace. Only a
+// fixed sample of sensors (the first of each shard) emits spans now.
+TEST(FleetTracing, ThousandSensorSerialRunDropsNoTraceEvents) {
+  District d = make_district(32);  // 1024 sensors
+  FleetEngine engine(d.net, d.placements, make_config());
+  engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
+  obs::TraceRecorder& recorder = obs::TraceRecorder::instance();
+  recorder.clear();
+  obs::TraceRecorder::set_enabled(true);
+  constexpr int kEpochs = 4;
+  for (int e = 0; e < kEpochs; ++e) engine.step_epoch();
+  obs::TraceRecorder::set_enabled(false);
+  const obs::TraceSnapshot snap = recorder.snapshot();
+  recorder.clear();
+
+  EXPECT_EQ(snap.dropped_total, 0u);
+  int sensor_spans = 0, epoch_spans = 0;
+  for (const auto& track : snap.tracks)
+    for (const auto& ev : track.events) {
+      if (ev.kind != obs::TraceEventKind::kSpanBegin || ev.name == nullptr)
+        continue;
+      const std::string name = ev.name;
+      sensor_spans += name == "fleet.sensor" ? 1 : 0;
+      epoch_spans += name == "fleet.epoch" ? 1 : 0;
+    }
+  EXPECT_EQ(epoch_spans, kEpochs);
+  EXPECT_EQ(sensor_spans, kEpochs);  // one sampled sensor per serial epoch
 }
 
 // --- cost model ---------------------------------------------------------------

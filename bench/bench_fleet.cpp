@@ -1,5 +1,5 @@
-// bench_fleet — fleet co-simulation throughput, serial vs the work-stealing
-// pool: 32 CTA sensors on a 32-pipe district, each integrating its ΣΔ/CIC/PI
+// bench_fleet — fleet co-simulation throughput, serial vs the thread pool's
+// parked team: 32 CTA sensors on a 32-pipe district, each integrating its ΣΔ/CIC/PI
 // loop against the diurnal network solution. Reports sensors×sim-seconds per
 // wall second for each mode plus a bitwise trace checksum per run — identical
 // checksums across all modes are the determinism proof (same root seed ⇒

@@ -438,10 +438,6 @@ CampaignSummary run_campaign(fleet::FleetEngine& engine,
                              const FaultCampaign& campaign, Seconds duration,
                              util::ThreadPool* pool) {
   CampaignRunner runner{engine, supervisor, campaign, duration};
-  // Injection, supervision and outcome scans all run serially between epochs
-  // (the determinism contract), so the whole loop can ride one persistent
-  // worker team instead of re-enqueueing shard tasks every epoch.
-  const fleet::FleetEngine::TeamSession team{engine, pool};
   while (!runner.done()) runner.step(pool);
   return runner.finish();
 }

@@ -194,8 +194,8 @@ class CampaignRunner {
 };
 
 /// Runs `duration` of co-simulation with the campaign injected and the
-/// supervisor polling every epoch (a CampaignRunner driven to completion
-/// under one persistent worker team). The engine should already be
+/// supervisor polling every epoch (a CampaignRunner driven to completion,
+/// each epoch on `pool`'s team). The engine should already be
 /// commissioned and calibrated; `supervisor` must be bound to `engine`.
 CampaignSummary run_campaign(fleet::FleetEngine& engine,
                              fleet::FleetSupervisor& supervisor,

@@ -1,9 +1,10 @@
 #include "fleet/fleet.hpp"
 
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <exception>
+#include <functional>
 #include <iterator>
 #include <stdexcept>
 #include <string>
@@ -19,6 +20,9 @@ using util::Seconds;
 
 namespace {
 constexpr double kGravity = 9.80665;
+// EWMA smoothing of the measured per-sensor step wall time:
+// cost ← (1−α)·cost + α·measured.
+constexpr double kCostEwmaAlpha = 0.25;
 
 // Fleet-engine telemetry. The latency histograms record wall time — useful
 // for scheduling analysis, explicitly outside the determinism contract (the
@@ -31,9 +35,9 @@ const obs::Histogram kEpochWall{"fleet.epoch_wall_seconds",
 const obs::Histogram kSensorStepWall{"fleet.sensor_step_wall_seconds",
                                      obs::HistogramSpec{1e-6, 10.0, 42, true}};
 // Sharding telemetry: how often the planner ran, and how balanced each
-// sharded epoch really was — max over mean of the per-shard busy seconds
-// measured with the clock (1.0 is a perfect split; k shards with all the work
-// in one read k).
+// epoch really was — max over mean of the per-shard busy seconds measured
+// with the clock (1.0 is a perfect split, and what a pool-less one-shard
+// epoch reads; k shards with all the work in one read k).
 const obs::Counter kRebalances{"fleet.shard.rebalances"};
 const obs::Histogram kShardImbalance{"fleet.shard.imbalance",
                                      obs::HistogramSpec{1.0, 64.0, 24, true}};
@@ -72,6 +76,27 @@ constexpr const char* kCheckpointedCounters[] = {
     "cta.pi.antiwindup_holds",
     "cta.loop.adc_overload_ticks",
 };
+
+// Calls body(w) for every participant w of `pool`, or body(0) on the caller
+// when there is no pool — a team of one.
+void run_team(util::ThreadPool* pool,
+              const std::function<void(std::size_t)>& body) {
+  if (pool != nullptr)
+    pool->run(body);
+  else
+    body(0);
+}
+
+// Calls body(i) for every i in [0, n): each participant claims the next
+// unclaimed index until none is left. Commissioning costs differ from sensor
+// to sensor, so fixed slices would leave participants idle.
+void for_each_index(util::ThreadPool* pool, std::size_t n,
+                    const std::function<void(std::size_t)>& body) {
+  std::atomic<std::size_t> next{0};
+  run_team(pool, [&](std::size_t) {
+    for (std::size_t i = next++; i < n; i = next++) body(i);
+  });
+}
 }  // namespace
 
 sim::Schedule diurnal_demand_pattern(Seconds day) {
@@ -123,8 +148,6 @@ FleetEngine::FleetEngine(hydro::WaterNetwork& network,
     throw std::runtime_error("FleetEngine: initial network solve failed");
 }
 
-FleetEngine::~FleetEngine() { end_team(); }
-
 void FleetEngine::apply_demand_factor(double factor) {
   for (hydro::WaterNetwork::NodeId n = 0; n < net_.node_count(); ++n)
     if (!net_.node_is_reservoir(n))
@@ -152,21 +175,12 @@ PipeState FleetEngine::pipe_state_for(const SensorNode& node) const {
   return state;
 }
 
-void FleetEngine::dispatch(util::ThreadPool* pool,
-                           const std::function<void(std::size_t)>& body) {
-  if (pool != nullptr) {
-    pool->parallel_for(nodes_.size(), body);
-  } else {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) body(i);
-  }
-}
-
 void FleetEngine::commission(Seconds settle, util::ThreadPool* pool) {
   AQUA_TRACE_SPAN_SIM("fleet.commission", t_.value());
   std::vector<PipeState> states;
   states.reserve(nodes_.size());
   for (const auto& node : nodes_) states.push_back(pipe_state_for(*node));
-  dispatch(pool, [&](std::size_t i) {
+  for_each_index(pool, nodes_.size(), [&](std::size_t i) {
     // Power-up built-in self-test first (paper §3's test bus); the test
     // restores the channel bit-exactly, so the settle below is unaffected.
     (void)nodes_[i]->run_self_test();
@@ -189,7 +203,7 @@ void FleetEngine::calibrate(std::span<const double> mean_speeds, Seconds dwell,
   std::vector<PipeState> states;
   states.reserve(nodes_.size());
   for (const auto& node : nodes_) states.push_back(pipe_state_for(*node));
-  dispatch(pool, [&](std::size_t i) {
+  for_each_index(pool, nodes_.size(), [&](std::size_t i) {
     nodes_[i]->calibrate(states[i], mean_speeds, dwell);
   });
 }
@@ -198,40 +212,9 @@ void FleetEngine::set_shared_fit(const cta::KingFit& fit) {
   for (auto& node : nodes_) node->set_fit(fit, config_.water_temperature);
 }
 
-void FleetEngine::begin_team(util::ThreadPool* pool) {
-  if (pool == nullptr) return;
-  if (team_ != nullptr && team_pool_ == pool) return;
-  end_team();
-  const std::size_t n = pool->thread_count();
-  // Worker w owns shards w, w+n, w+2n, … of whatever plan is current when an
-  // epoch is released — so manual plans with more shards than workers still
-  // execute completely.
-  team_ = std::make_unique<util::WorkerTeam>(
-      *pool, n, [this, n](std::size_t w) {
-        for (std::size_t s = w; s < plan_.shard_count(); s += n)
-          process_shard(s);
-      });
-  team_pool_ = pool;
-}
-
-void FleetEngine::end_team() {
-  team_.reset();  // ~WorkerTeam releases and joins the parked tasks
-  team_pool_ = nullptr;
-}
-
 void FleetEngine::run(Seconds duration, util::ThreadPool* pool) {
   const long long epochs = static_cast<long long>(
       std::ceil(duration.value() / config_.epoch.value()));
-  // Persistent-team fast path: park one epoch task per worker for the whole
-  // run. If the caller already scoped a TeamSession, reuse it.
-  const bool own_team = pool != nullptr && team_ == nullptr;
-  struct TeamGuard {
-    FleetEngine* engine;
-    ~TeamGuard() {
-      if (engine != nullptr) engine->end_team();
-    }
-  } guard{own_team ? this : nullptr};
-  if (own_team) begin_team(pool);
   for (long long e = 0; e < epochs; ++e) step_epoch(pool);
 }
 
@@ -294,11 +277,11 @@ void FleetEngine::publish_sample(std::size_t i) {
 void FleetEngine::record_cost(std::size_t i, double seconds) {
   kSensorStepWall.observe(seconds);
   if (config_.sharding.measure_costs) {
-    const double alpha = config_.sharding.cost_ewma_alpha;
     hot_.cost_ewma_s[i] =
         hot_.cost_ewma_s[i] <= 0.0
             ? seconds
-            : (1.0 - alpha) * hot_.cost_ewma_s[i] + alpha * seconds;
+            : (1.0 - kCostEwmaAlpha) * hot_.cost_ewma_s[i] +
+                  kCostEwmaAlpha * seconds;
   }
 }
 
@@ -430,42 +413,18 @@ void FleetEngine::step_epoch(util::ThreadPool* pool) {
   // Snapshot serially so every sensor task reads a frozen network state.
   snapshot_epoch_inputs();
 
-  const bool use_team = team_ != nullptr && pool == team_pool_;
-  if (use_team) {
-    ensure_plan(team_->workers());
-    shard_busy_s_.assign(plan_.shard_count(), 0.0);
-    team_->run_epoch();  // barrier out, barrier in — zero enqueues
-    observe_shard_balance();
-  } else if (pool != nullptr) {
-    // One coarse task per shard per epoch — never a per-sensor micro-task.
-    ensure_plan(pool->thread_count());
-    shard_busy_s_.assign(plan_.shard_count(), 0.0);
-    std::vector<std::future<void>> futures;
-    futures.reserve(plan_.shard_count());
-    for (std::size_t s = 0; s < plan_.shard_count(); ++s)
-      futures.push_back(pool->submit([this, s] { process_shard(s); }));
-    std::exception_ptr first;
-    for (auto& f : futures) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!first) first = std::current_exception();
-      }
-    }
-    if (first) std::rethrow_exception(first);
-    observe_shard_balance();
-  } else {
-    // Serial epoch: the whole fleet is one "shard" (in batch mode that means
-    // one lane group per epoch — chunking differences never change results).
-    thread_local std::vector<std::uint32_t> all_ids;
-    if (all_ids.size() != nodes_.size()) {
-      all_ids.resize(nodes_.size());
-      for (std::size_t i = 0; i < nodes_.size(); ++i)
-        all_ids[i] = static_cast<std::uint32_t>(i);
-    }
-    shard_busy_s_.clear();
-    advance_sensors(all_ids);
-  }
+  // Participant w steps shards w, w+n, w+2n, … of the plan, so a manual plan
+  // with more shards than participants still runs completely. Without a pool
+  // the plan is one ascending shard of every sensor (in batch mode, one lane
+  // group) — chunking never changes results.
+  const std::size_t workers = pool != nullptr ? pool->thread_count() : 1;
+  ensure_plan(workers);
+  shard_busy_s_.assign(plan_.shard_count(), 0.0);
+  run_team(pool, [this, workers](std::size_t w) {
+    for (std::size_t s = w; s < plan_.shard_count(); s += workers)
+      process_shard(s);
+  });
+  observe_shard_balance();
 
   t_ += config_.epoch;
   ++epoch_index_;
@@ -627,14 +586,6 @@ void FleetEngine::restore(std::span<const std::uint8_t> image) {
 
 FleetReport FleetEngine::report() const {
   return build_report(net_, nodes_, t_.value());
-}
-
-std::vector<double> FleetEngine::latest_estimates() const {
-  std::vector<double> estimates;
-  estimates.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    estimates.push_back(hot_.has_sample[i] != 0 ? hot_.estimate_mps[i] : 0.0);
-  return estimates;
 }
 
 std::size_t MaskedEstimates::valid_count() const {

@@ -6,15 +6,16 @@
 // Timing model: time advances in fixed epochs. At each epoch boundary the
 // engine (serially) scales the junction demands by the diurnal factor and
 // re-solves the steady-state network; every sensor then integrates its
-// ΣΔ/CIC/PI loop across the epoch under its pipe's frozen hydraulic state —
-// on the caller's thread, or sharded across a util::ThreadPool.
+// ΣΔ/CIC/PI loop across the epoch under its pipe's frozen hydraulic state.
 //
-// Parallel execution model (DESIGN.md §12): sensors are partitioned into
+// Execution model (DESIGN.md §7, §12): sensors are partitioned into
 // cost-balanced shards (fleet::plan_shards over per-sensor EWMA step costs,
-// rebalanced between epochs). With a plain pool the engine submits exactly
-// one coarse task per shard per epoch; inside a TeamSession it goes further —
-// one persistent task parked per worker for the whole run, released once per
-// epoch through an EpochBarrier, zero per-epoch enqueues. The per-epoch hot
+// rebalanced between epochs), one shard per participant of the
+// util::ThreadPool passed in. Each epoch releases the pool's parked team once
+// with run(); participant w steps shards w, w+n, … . Without a pool the
+// caller is a team of one: a one-shard plan holding every sensor in
+// ascending order. Commissioning and calibration go through the same run(),
+// each participant claiming the next unclaimed sensor. The per-epoch hot
 // state (pipe snapshots in, sample fields out, step costs) lives in
 // structure-of-arrays form so an epoch streams memory instead of chasing
 // SensorNode pointers, and so readers (supervisor polls, leak estimates) can
@@ -31,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -45,7 +45,6 @@
 #include "state/checkpoint.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
-#include "util/worker_team.hpp"
 
 namespace aqua::fleet {
 
@@ -57,9 +56,6 @@ struct ShardingConfig {
   /// sensor afterwards. Rebalancing happens serially between epochs and never
   /// changes results — only wall-clock balance.
   long long rebalance_interval_epochs = 16;
-  /// EWMA smoothing of the measured per-sensor step wall time:
-  /// cost ← (1−α)·cost + α·measured.
-  double cost_ewma_alpha = 0.25;
   /// When false the engine stops folding measurements into the cost model —
   /// costs stay wherever set_cost_hint() put them (tests use this to build
   /// adversarial skews that reproduce exactly).
@@ -126,15 +122,12 @@ class FleetEngine {
               std::span<const SensorPlacement> placements,
               const FleetConfig& config);
 
-  /// Ends any live worker team (begin_team misuse backstop; the pool must
-  /// still be alive — see begin_team).
-  ~FleetEngine();
-
   /// Runs the ISIF channel self-test on every sensor, then settles every
-  /// sensor at zero flow (parallel across `pool` if given). Self-test results
-  /// surface through SensorNode::last_self_test() and the FleetReport; the
-  /// test leaves the channel bit-identical to its pre-test state, so the
-  /// determinism checksum is unaffected.
+  /// sensor at zero flow (participants of `pool`, if given, claim sensors
+  /// one at a time). Self-test results surface through
+  /// SensorNode::last_self_test() and the FleetReport; the test leaves the
+  /// channel bit-identical to its pre-test state, so the determinism
+  /// checksum is unaffected.
   void commission(util::Seconds settle = util::Seconds{1.0},
                   util::ThreadPool* pool = nullptr);
 
@@ -145,8 +138,8 @@ class FleetEngine {
   /// the self-test result.
   isif::ChannelSelfTestResult recommission(std::size_t i, util::Seconds settle);
 
-  /// Per-sensor King's-law sweep (parallel across `pool` if given). Each die
-  /// gets its own fit, absorbing its tolerance draws.
+  /// Per-sensor King's-law sweep (spread over `pool` like commission).
+  /// Each die gets its own fit, absorbing its tolerance draws.
   void calibrate(std::span<const double> mean_speeds,
                  util::Seconds dwell = util::Seconds{0.5},
                  util::ThreadPool* pool = nullptr);
@@ -154,54 +147,35 @@ class FleetEngine {
   /// Fleet-wide nominal fit instead of per-sensor sweeps (cheap, less exact).
   void set_shared_fit(const cta::KingFit& fit);
 
-  /// Co-simulates `duration` in epochs; serial on the caller's thread when
-  /// `pool` is null, else sharded — bit-identical either way. With a pool and
-  /// no already-active team this wraps the whole loop in a persistent worker
-  /// team, so the steady state runs with zero per-epoch task enqueues.
+  /// Co-simulates `duration` in epochs (a loop over step_epoch) — on the
+  /// caller's thread when `pool` is null, else on the pool's team;
+  /// bit-identical either way.
   void run(util::Seconds duration, util::ThreadPool* pool = nullptr);
 
   /// Advances exactly one epoch: demand scaling, network solve, serial pipe
-  /// snapshots, sharded sensor execution, clock tick. run() is a loop over
-  /// this. Fault injectors and the fleet supervisor act *between* step_epoch
-  /// calls on the caller's thread, which keeps campaigns bit-reproducible at
-  /// any thread count. Without an active team, a non-null pool gets exactly
-  /// one coarse task per shard this epoch (no per-sensor enqueue).
+  /// snapshots, one pool->run() over the shards (or the caller alone when
+  /// `pool` is null), clock tick. Fault injectors and the fleet supervisor
+  /// act *between* step_epoch calls on the caller's thread, which keeps
+  /// campaigns bit-reproducible at any thread count. Any number of engines
+  /// may share one pool.
   void step_epoch(util::ThreadPool* pool = nullptr);
 
-  // --- persistent worker team (DESIGN.md §12) ------------------------------
-
-  /// Parks one persistent epoch task per pool worker; subsequent step_epoch
-  /// calls passing this pool release the team through a barrier instead of
-  /// enqueueing anything. The team OWNS every pool worker until end_team() —
-  /// do not run other work on the pool meanwhile, and always end the team
-  /// (or destroy the engine) before the pool is destroyed. No-op on nullptr;
-  /// an existing team on the same pool is kept, on another pool replaced.
-  void begin_team(util::ThreadPool* pool);
-  void end_team();
-  [[nodiscard]] bool team_active() const { return team_ != nullptr; }
-
-  /// RAII team scope — the campaign/supervision loops use this around their
-  /// step_epoch sequences:
-  ///   FleetEngine::TeamSession session{engine, pool.get()};
-  ///   for (...) { inject(); engine.step_epoch(pool.get()); poll(); }
+  /// Does nothing. It survives only because the fleet benchmark
+  /// (fleetbench/workloads.cpp) still constructs one around its epoch loops;
+  /// every pooled step_epoch already runs on the pool's parked team. Delete
+  /// it together with those uses.
   class TeamSession {
    public:
-    TeamSession(FleetEngine& engine, util::ThreadPool* pool)
-        : engine_(engine) {
-      engine_.begin_team(pool);
-    }
-    ~TeamSession() { engine_.end_team(); }
+    TeamSession(FleetEngine& /*engine*/, util::ThreadPool* /*pool*/) {}
     TeamSession(const TeamSession&) = delete;
     TeamSession& operator=(const TeamSession&) = delete;
-
-   private:
-    FleetEngine& engine_;
   };
 
   // --- cost model and shard plan -------------------------------------------
 
   /// Current partition of sensors into shards (rebuilt lazily for the pool in
-  /// use; empty until the first sharded epoch or explicit rebalance).
+  /// use — one shard without a pool; empty until the first epoch or explicit
+  /// rebalance).
   [[nodiscard]] const ShardPlan& shard_plan() const { return plan_; }
 
   /// Replaces the plan with a caller-supplied partition and pins it (auto
@@ -218,9 +192,9 @@ class FleetEngine {
   [[nodiscard]] long long rebalances() const { return rebalances_; }
 
   /// Wall-clock seconds each shard of the current plan spent stepping its
-  /// sensors in the last sharded epoch (0.0 for an empty shard; empty after
-  /// a serial epoch). Max over mean of these is what fleet.shard.imbalance
-  /// observes each epoch.
+  /// sensors in the last epoch (0.0 for an empty shard; one entry after a
+  /// pool-less epoch). Max over mean of these is what fleet.shard.imbalance
+  /// observes each epoch — 1.0 for a one-shard plan.
   [[nodiscard]] std::span<const double> shard_busy_seconds() const {
     return shard_busy_s_;
   }
@@ -250,12 +224,6 @@ class FleetEngine {
   [[nodiscard]] long long solve_failures() const { return solve_failures_; }
   /// Epochs stepped since construction.
   [[nodiscard]] long long epochs() const { return epoch_index_; }
-
-  /// Latest per-sensor mean-velocity estimates (sensor order) — the input a
-  /// cta::LeakLocalizer expects. DEPRECATED for fault-aware consumers: for a
-  /// dead or quarantined sensor this replays the last trace sample as if it
-  /// were live data. Prefer latest_estimates_masked().
-  [[nodiscard]] std::vector<double> latest_estimates() const;
 
   /// Latest per-sensor estimates with a validity mask. A sensor is invalid
   /// while it has never produced a sample or while the supervision layer has
@@ -303,10 +271,6 @@ class FleetEngine {
  private:
   [[nodiscard]] PipeState pipe_state_for(const SensorNode& node) const;
   void apply_demand_factor(double factor);
-  /// Runs body(i) for every node — serially, or on the pool (commission /
-  /// calibration fan-out; the epoch loop uses shards instead).
-  void dispatch(util::ThreadPool* pool,
-                const std::function<void(std::size_t)>& body);
   /// Serially freezes this epoch's per-sensor hydraulic state into the SoA
   /// input arrays (same arithmetic, same order, as pipe_state_for).
   void snapshot_epoch_inputs();
@@ -376,8 +340,6 @@ class FleetEngine {
   bool plan_manual_ = false;
   long long epoch_index_ = 0;
   long long rebalances_ = 0;
-  std::unique_ptr<util::WorkerTeam> team_;
-  util::ThreadPool* team_pool_ = nullptr;
 
   util::Seconds t_{0.0};
   long long solve_failures_ = 0;

@@ -34,7 +34,7 @@
 //    non-deterministic; it feeds telemetry only, never the simulation.
 //
 // snapshot() is wait-free for writers but best-effort for the scraper: take
-// it at a quiescent point (end of a run, after wait_idle) like
+// it at a quiescent point (end of a run, between epochs) like
 // Registry::zero(); events overwritten mid-copy are detected and dropped,
 // never corrupted.
 #pragma once

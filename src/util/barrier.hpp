@@ -1,9 +1,9 @@
 // barrier.hpp — reusable epoch barrier for persistent-worker execution.
 //
-// The fleet engine's parallel epoch loop parks one long-lived task on every
-// pool worker and releases them once per epoch (DESIGN.md §12). That pattern
-// needs a rendezvous all participants cross together, generation after
-// generation — this class. It is a classic sense-reversing barrier built on a
+// util::ThreadPool parks its threads between run() calls and releases them
+// once per call — once per epoch in the fleet engine (DESIGN.md §7). That
+// pattern needs a rendezvous all participants cross together, generation
+// after generation — this class. It is a classic sense-reversing barrier built on a
 // mutex + condition variable: correct under TSan, immune to spurious wakeups,
 // and cheap relative to an epoch (two lock/unlock pairs per participant per
 // crossing, microseconds against the milliseconds a shard of sensors costs).
@@ -11,7 +11,7 @@
 // The mutex also carries the memory ordering the epoch protocol relies on:
 // anything a thread wrote before arrive_and_wait() is visible to every other
 // participant after their own arrive_and_wait() returns. The caller publishes
-// the epoch's frozen network snapshot that way, and the workers publish their
+// the epoch's frozen network snapshot that way, and the threads publish their
 // per-sensor results back the same way.
 #pragma once
 

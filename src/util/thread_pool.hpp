@@ -1,121 +1,84 @@
-// thread_pool.hpp — work-stealing thread pool for fleet-scale co-simulation.
+// thread_pool.hpp — a fixed team of parked threads for fleet-scale
+// co-simulation.
 //
-// Each worker owns a deque: the owner pushes and pops at the front (LIFO, for
-// cache locality on nested submissions) while idle workers steal from the back
-// of a victim's deque (FIFO, so the oldest — usually largest — task migrates).
-// External submissions are distributed round-robin. The pool is a scheduling
-// substrate only: determinism is the *caller's* contract (tasks must write to
-// disjoint state and own their RNG streams — see fleet::FleetEngine), which is
-// why the pool makes no ordering promises beyond "every submitted task runs".
+// The pool has one operation: run(body) calls body(w) once for every
+// participant w in [0, thread_count()) and returns when all of them have
+// finished. The calling thread is participant 0; the pool's own
+// thread_count() − 1 threads are participants 1, 2, … . Between calls they
+// park on an EpochBarrier, so one call costs two barrier crossings and
+// nothing is queued or allocated — the fleet engine releases the team once
+// per epoch (DESIGN.md §7).
 //
-// Shutdown is graceful: the destructor stops accepting work, drains every
-// queued task, then joins. Exceptions thrown by a task are captured in the
-// std::future returned by submit() (or rethrown by parallel_for).
+//   util::ThreadPool pool{4};
+//   for (int e = 0; e < epochs; ++e) {
+//     prepare_epoch();                          // serial, threads parked
+//     pool.run([&](std::size_t w) { process_shards_of(w); });
+//   }
 //
-// Long-lived tasks: util::WorkerTeam parks one task per worker and releases
-// them once per epoch (the fleet engine's steady-state loop). While such
-// tasks are parked they count as in flight, so wait_idle() and the destructor
-// block until the team is destroyed — always tear down a WorkerTeam before
-// its pool.
+// What a participant does with its index is the caller's business (the fleet
+// engine walks shards w, w+n, …; in commissioning every participant claims
+// the next unclaimed sensor). Determinism is the caller's contract too:
+// bodies write disjoint state and own their RNG streams (fleet::FleetEngine).
+// The barrier's mutex publishes everything the caller wrote before run() to
+// every participant, and everything the participants wrote back to the
+// caller when run() returns.
+//
+// A body that throws does not desynchronise the team: the participant still
+// reaches the end barrier, run() rethrows the exception of the lowest
+// participant index once every participant has finished, and the pool stays
+// usable. A mutex serialises concurrent callers, so each call has the whole
+// team. A body must not call run() on its own pool — that call would wait on
+// the mutex its caller holds.
+//
+// ThreadPool{1} spawns no thread: run(body) is body(0) on the caller, so the
+// serial case is a team of one.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <exception>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
+
+#include "util/barrier.hpp"
 
 namespace aqua::util {
 
 class ThreadPool {
  public:
-  /// Spawns `thread_count` workers (0 = hardware concurrency, at least 1).
+  /// A team of `thread_count` participants (0 = hardware concurrency, at
+  /// least 1): the caller of run() plus thread_count − 1 parked threads.
   explicit ThreadPool(unsigned thread_count = 0);
 
-  /// Drains all queued work, then joins the workers.
+  /// Releases the parked threads and joins them.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Schedules `fn` and returns the future of its result. A task that throws
-  /// stores the exception in the future. Throws std::runtime_error if the
-  /// pool is shutting down.
-  template <class F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    std::packaged_task<R()> task{std::forward<F>(fn)};
-    std::future<R> result = task.get_future();
-    enqueue(Task{std::move(task)});
-    return result;
+  /// Calls body(w) for every participant w in [0, thread_count()), w = 0 on
+  /// the calling thread, and returns when all have finished. Rethrows the
+  /// lowest-index participant's exception, if any; the pool stays usable.
+  void run(const std::function<void(std::size_t)>& body);
+
+  [[nodiscard]] std::size_t thread_count() const {
+    return errors_.size();
   }
 
-  /// Runs body(i) for i in [0, n), blocking until all iterations finish.
-  /// Iterations are grouped into contiguous blocks (one task per block). The
-  /// first exception (in iteration order of the blocks) is rethrown after
-  /// every block has completed.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
-
-  /// Blocks until no task is queued or running.
-  void wait_idle();
-
-  [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
-
-  /// Tasks queued or running right now (approximate, for tests/telemetry).
-  [[nodiscard]] std::size_t in_flight() const { return in_flight_.load(); }
-
  private:
-  /// Move-only type-erased task (std::function requires copyability, which
-  /// std::packaged_task does not offer).
-  class Task {
-   public:
-    Task() = default;
-    template <class F>
-    explicit Task(F&& f)
-        : impl_(std::make_unique<Model<std::decay_t<F>>>(std::forward<F>(f))) {}
-    void operator()() { impl_->call(); }
-    [[nodiscard]] explicit operator bool() const { return impl_ != nullptr; }
+  void worker_loop(std::size_t w);
+  void participate(std::size_t w);
 
-   private:
-    struct Concept {
-      virtual ~Concept() = default;
-      virtual void call() = 0;
-    };
-    template <class F>
-    struct Model final : Concept {
-      explicit Model(F f) : fn(std::move(f)) {}
-      void call() override { fn(); }
-      F fn;
-    };
-    std::unique_ptr<Concept> impl_;
-  };
-
-  struct Worker {
-    std::mutex mutex;
-    std::deque<Task> queue;
-  };
-
-  void enqueue(Task task);
-  void worker_loop(std::size_t index);
-  bool try_pop_local(std::size_t index, Task& out);
-  bool try_steal(std::size_t thief, Task& out);
-
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
-  std::atomic<std::size_t> next_queue_{0};
-  std::atomic<std::size_t> in_flight_{0};  // queued + running
-  std::atomic<std::size_t> queued_{0};     // sitting in a deque
-  std::atomic<bool> accepting_{true};
-  std::atomic<bool> stop_{false};
-  std::mutex wake_mutex_;
-  std::condition_variable wake_cv_;   // workers sleep here
-  std::condition_variable idle_cv_;   // wait_idle/destructor sleep here
+  std::mutex run_mutex_;  // held for a whole run(): one call at a time
+  EpochBarrier start_;    // caller + threads: the call's body is set
+  EpochBarrier done_;     // caller + threads: every participant finished
+  // Written by run() or the destructor before the start barrier, read by the
+  // threads after it; the barrier's mutex publishes them.
+  const std::function<void(std::size_t)>* body_ = nullptr;
+  bool stop_ = false;
+  std::vector<std::exception_ptr> errors_;  // one slot per participant
+  std::vector<std::thread> threads_;        // last: joined before the above go
 };
 
 }  // namespace aqua::util

@@ -1,8 +1,7 @@
 // Campaign-at-scale determinism: a seeded random fault campaign over a
 // 1k-sensor fleet must produce a bit-identical CampaignSummary — trace
 // checksum, every outcome timestamp, every detection latency — whether the
-// epochs run serially or sharded over a pool(8) persistent worker team
-// (run_campaign wraps its loop in a TeamSession). This is the end-to-end
+// epochs run serially or sharded over a pool(8) team. This is the end-to-end
 // proof that injection, supervision and the sharded epoch loop compose
 // without breaking the determinism contract.
 #include <cstddef>

@@ -179,8 +179,9 @@ TEST(FleetEngine, AccessorsAndLatestEstimates) {
   engine.commission(Seconds{0.25});
   engine.run(Seconds{0.5});
   EXPECT_NEAR(engine.now().value(), 0.5, 1e-9);  // commission doesn't advance t
-  const auto estimates = engine.latest_estimates();
-  ASSERT_EQ(estimates.size(), 5u);
+  const MaskedEstimates estimates = engine.latest_estimates_masked();
+  ASSERT_EQ(estimates.values.size(), 5u);
+  EXPECT_EQ(estimates.valid_count(), 5u);
 }
 
 TEST(FleetEngine, RecordsSolverTelemetryEveryEpoch) {

@@ -2,9 +2,8 @@
 // properties (including the cold plan for sensors with no measured cost),
 // 1k-sensor bit-identity across thread counts under adversarial cost skew,
 // mid-run rebalances and pathological manual plans, the "shard assignment
-// never changes RNG stream consumption" property, the one-task-per-shard-
-// per-epoch regression gate on the pool task counter (the old fork/join loop
-// fed ~13 micro-tasks per epoch; this suite pins the new contract), every
+// never changes RNG stream consumption" property, one pool shared by set-up,
+// epochs and a second engine, the pool-less epoch as a team of one, every
 // worker busy from epoch 0, the measured shard-imbalance metric, and a traced
 // 1k-sensor run that fits the trace ring.
 #include <algorithm>
@@ -12,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -351,54 +351,41 @@ TEST(FleetScaling, ShardAssignmentNeverChangesRngConsumption) {
   }
 }
 
-// --- task accounting: the micro-task feeding fix -----------------------------
+// --- one pool for everything ------------------------------------------------
 
-std::uint64_t pool_tasks_completed() {
-  const auto snap = obs::Registry::instance().snapshot();
-  for (const auto& c : snap.counters)
-    if (c.name == "util.thread_pool.tasks") return c.value;
-  return 0;
-}
+// While an engine held a pool for its epochs, commissioning on that pool or
+// stepping a second engine on it waited forever for threads that were parked
+// in the first engine's team. Every use of a pool is now one run() call, so
+// any sequence of them completes — and still reproduces the serial traces.
+TEST(FleetScaling, OnePoolServesSetUpEpochsAndASecondEngine) {
+  const std::vector<double> speeds{0.1, 0.4, 0.8};
+  const auto sequence = [&](FleetEngine& a, FleetEngine& b,
+                            util::ThreadPool* pool) {
+    a.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
+    b.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
+    FleetEngine::TeamSession session{a, pool};
+    a.step_epoch(pool);
+    a.commission(Seconds{0.05}, pool);
+    a.calibrate(speeds, Seconds{0.05}, pool);
+    b.step_epoch(pool);
+    a.step_epoch(pool);
+  };
 
-// The old epoch loop pushed parallel_for micro-blocks every epoch (~13 tasks
-// per epoch at 32 sensors). The contract now: exactly one pool task per shard
-// per epoch on the coarse path, and for a persistent team just one parked
-// task per worker for an entire session — independent of epoch count.
-TEST(FleetScaling, ExactlyOneTaskPerShardPerEpochOnTheCoarsePath) {
-  District d = make_district(1);  // 32 sensors
-  FleetEngine engine(d.net, d.placements, make_config());
-  engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
+  District sa = make_district(1), sb = make_district(1);
+  FleetEngine serial_a(sa.net, sa.placements, make_config());
+  FleetEngine serial_b(sb.net, sb.placements, make_config());
+  sequence(serial_a, serial_b, nullptr);
+
+  District pa = make_district(1), pb = make_district(1);
+  FleetEngine pooled_a(pa.net, pa.placements, make_config());
+  FleetEngine pooled_b(pb.net, pb.placements, make_config());
   util::ThreadPool pool{4};
+  sequence(pooled_a, pooled_b, &pool);
 
-  const std::uint64_t before = pool_tasks_completed();
-  constexpr long long kEpochs = 5;
-  for (long long e = 0; e < kEpochs; ++e) engine.step_epoch(&pool);
-  pool.wait_idle();  // the counter increments as each task retires
-  const std::uint64_t coarse = pool_tasks_completed() - before;
-  EXPECT_EQ(coarse, static_cast<std::uint64_t>(kEpochs) *
-                        engine.shard_plan().shard_count());
-  EXPECT_EQ(engine.shard_plan().shard_count(), pool.thread_count());
-}
-
-TEST(FleetScaling, TeamSessionCostsOneParkedTaskPerWorker) {
-  District d = make_district(1);
-  FleetEngine engine(d.net, d.placements, make_config());
-  engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
-  util::ThreadPool pool{4};
-
-  const std::uint64_t before = pool_tasks_completed();
-  {
-    FleetEngine::TeamSession session{engine, &pool};
-    EXPECT_TRUE(engine.team_active());
-    for (long long e = 0; e < 10; ++e) engine.step_epoch(&pool);
-  }  // ~TeamSession retires the 4 parked tasks
-  EXPECT_FALSE(engine.team_active());
-  pool.wait_idle();
-  const std::uint64_t team_tasks = pool_tasks_completed() - before;
-  // 10 epochs cost the same 4 tasks as 0 epochs would: parked workers, zero
-  // per-epoch enqueues.
-  EXPECT_EQ(team_tasks, pool.thread_count());
-  EXPECT_EQ(engine.epochs(), 10);
+  EXPECT_EQ(pooled_a.epochs(), 2);
+  EXPECT_EQ(pooled_b.epochs(), 1);
+  expect_traces_equal(serial_a, pooled_a, "engine a, serial vs pool(4)");
+  expect_traces_equal(serial_b, pooled_b, "engine b, serial vs pool(4)");
 }
 
 // --- every worker busy from epoch 0 ------------------------------------------
@@ -418,6 +405,8 @@ void expect_every_shard_busy(const FleetEngine& engine, std::size_t workers,
     EXPECT_GT(engine.shard_busy_seconds()[s], 0.0) << label << " shard " << s;
 }
 
+// A TeamSession (kept for fleetbench's epoch loops) changes nothing: the
+// cold plan is still spread over the whole pool.
 TEST(FleetScaling, ColdPlanUsesEveryWorkerInATeamSession) {
   District d = make_district(1);
   FleetEngine engine(d.net, d.placements, make_config());
@@ -428,6 +417,7 @@ TEST(FleetScaling, ColdPlanUsesEveryWorkerInATeamSession) {
   expect_every_shard_busy(engine, pool.thread_count(), "team, epoch 0");
 }
 
+// The plain pooled step_epoch, with no session around it.
 TEST(FleetScaling, ColdPlanUsesEveryWorkerOnTheCoarsePath) {
   District d = make_district(1);
   FleetEngine engine(d.net, d.placements, make_config());
@@ -482,6 +472,9 @@ TEST(FleetScaling, ShardImbalanceMeasuresBusyTime) {
   engine.set_shard_plan(pinned);
   util::ThreadPool pool{4};
 
+  // Start from an empty histogram: the difference of two running sums that
+  // earlier tests in this process fed loses the last bits of the 4.0.
+  obs::Registry::instance().zero();
   const auto [count_before, sum_before] =
       histogram_count_and_sum("fleet.shard.imbalance");
   constexpr int kEpochs = 2;
@@ -495,6 +488,31 @@ TEST(FleetScaling, ShardImbalanceMeasuresBusyTime) {
   ASSERT_EQ(busy.size(), 4u);
   EXPECT_GT(busy[0], 0.0);
   for (std::size_t s = 1; s < busy.size(); ++s) EXPECT_EQ(busy[s], 0.0);
+}
+
+// Without a pool the caller is a team of one: the plan is one shard holding
+// every sensor in ascending order, and that shard's busy time is the epoch's
+// whole balance — max over mean reads exactly 1.
+TEST(FleetScaling, PoolLessEpochIsATeamOfOne) {
+  District d = make_district(1);
+  FleetEngine engine(d.net, d.placements, make_config());
+  engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
+  obs::Registry::instance().zero();  // exact sums, as in the test above
+  const auto [count_before, sum_before] =
+      histogram_count_and_sum("fleet.shard.imbalance");
+  engine.step_epoch();
+  const auto [count_after, sum_after] =
+      histogram_count_and_sum("fleet.shard.imbalance");
+
+  const ShardPlan& plan = engine.shard_plan();
+  ASSERT_EQ(plan.shard_count(), 1u);
+  std::vector<std::uint32_t> all(engine.size());
+  std::iota(all.begin(), all.end(), 0u);
+  EXPECT_EQ(plan.shards[0], all);
+  ASSERT_EQ(engine.shard_busy_seconds().size(), 1u);
+  EXPECT_GT(engine.shard_busy_seconds()[0], 0.0);
+  ASSERT_EQ(count_after - count_before, 1u);
+  EXPECT_DOUBLE_EQ(sum_after - sum_before, 1.0);
 }
 
 // --- trace ring budget --------------------------------------------------------

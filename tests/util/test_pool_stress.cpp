@@ -1,13 +1,12 @@
-// Concurrency battery for the persistent-worker primitives under the fleet
-// epoch loop: EpochBarrier generation semantics, WorkerTeam lifecycle
-// (startup, per-epoch release, exception capture, shutdown) and a sustained
-// stress loop. These tests run under the TSan CI job — the serial-phase
-// publication tests in particular exist to let the race detector prove the
-// barrier's happens-before edge, not just that the values come out right.
-#include <atomic>
+// Concurrency battery for the parked-team primitives under the fleet epoch
+// loop: EpochBarrier generation semantics, ThreadPool::run lifecycle
+// (per-call release, exception capture, shutdown without a call) and a
+// sustained stress loop. These tests run under the TSan CI job — the
+// serial-phase publication tests in particular exist to let the race detector
+// prove the barrier's happens-before edge, not just that the values come out
+// right.
 #include <cstddef>
 #include <cstdint>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -16,7 +15,6 @@
 
 #include "util/barrier.hpp"
 #include "util/thread_pool.hpp"
-#include "util/worker_team.hpp"
 
 namespace aqua::util {
 namespace {
@@ -56,9 +54,9 @@ TEST(EpochBarrier, ManyThreadsAgreeOnEveryGeneration) {
 }
 
 // The barrier's mutex must publish plain (non-atomic) writes made before one
-// generation to every waiter of that generation — the exact pattern the fleet
-// engine uses to hand frozen epoch snapshots to the team. TSan verifies the
-// happens-before edge; the assertions verify the values.
+// generation to every waiter of that generation — the exact pattern the pool
+// uses to hand the fleet engine's frozen epoch snapshots to its threads. TSan
+// verifies the happens-before edge; the assertions verify the values.
 TEST(EpochBarrier, PublishesPlainWritesAcrossGenerations) {
   constexpr std::uint64_t kGenerations = 100;
   EpochBarrier barrier{2};
@@ -82,93 +80,59 @@ TEST(EpochBarrier, PublishesPlainWritesAcrossGenerations) {
   EXPECT_EQ(consumed, expected);
 }
 
-TEST(WorkerTeam, RejectsZeroAndOversizedTeams) {
-  ThreadPool pool{2};
-  EXPECT_THROW(WorkerTeam(pool, 0, [](std::size_t) {}), std::invalid_argument);
-  // More workers than pool threads would park tasks that can never start.
-  EXPECT_THROW(WorkerTeam(pool, 3, [](std::size_t) {}), std::invalid_argument);
+TEST(ThreadPool, RunsBodyOncePerParticipantPerCall) {
+  constexpr std::size_t kParticipants = 4;
+  constexpr int kCalls = 25;
+  ThreadPool pool{kParticipants};
+  std::vector<int> runs(kParticipants, 0);  // disjoint slots, no atomics needed
+  for (int c = 0; c < kCalls; ++c) pool.run([&](std::size_t w) { ++runs[w]; });
+  for (std::size_t w = 0; w < kParticipants; ++w) EXPECT_EQ(runs[w], kCalls);
 }
 
-TEST(WorkerTeam, RunsBodyOncePerWorkerPerEpoch) {
-  constexpr std::size_t kWorkers = 4;
-  constexpr int kEpochs = 25;
-  ThreadPool pool{kWorkers};
-  std::vector<int> runs(kWorkers, 0);  // disjoint slots, no atomics needed
-  {
-    WorkerTeam team{pool, kWorkers, [&](std::size_t w) { ++runs[w]; }};
-    EXPECT_EQ(team.workers(), kWorkers);
-    for (int e = 0; e < kEpochs; ++e) team.run_epoch();
-    EXPECT_EQ(team.epochs(), static_cast<std::uint64_t>(kEpochs));
-  }
-  for (std::size_t w = 0; w < kWorkers; ++w) EXPECT_EQ(runs[w], kEpochs);
+TEST(ThreadPool, DestructionWithoutRunJoinsCleanly) {
+  for (unsigned n : {1u, 2u, 8u}) {
+    ThreadPool pool{n};
+    EXPECT_EQ(pool.thread_count(), n);
+  }  // ~ThreadPool releases threads that never left their first barrier
 }
 
-TEST(WorkerTeam, ShutdownWithoutEpochsLeavesPoolReusable) {
-  ThreadPool pool{2};
-  { WorkerTeam team{pool, 2, [](std::size_t) { FAIL() << "never released"; }}; }
-  // The parked tasks must be fully retired: new work runs and the pool drains.
-  auto f = pool.submit([] { return 7; });
-  EXPECT_EQ(f.get(), 7);
-  pool.wait_idle();
-  EXPECT_EQ(pool.in_flight(), 0u);
+TEST(ThreadPool, BodyExceptionRethrownAndPoolStaysUsable) {
+  constexpr std::size_t kParticipants = 3;
+  ThreadPool pool{kParticipants};
+  int call = 0;  // written by the caller between run() calls only
+  std::vector<int> runs(kParticipants, 0);
+  const auto body = [&](std::size_t w) {
+    ++runs[w];
+    if (call == 1 && w == 1) throw std::runtime_error("participant 1 bad call");
+  };
+  pool.run(body);
+  call = 1;
+  // The throwing participant still reaches the end barrier: the call
+  // completes on every participant, THEN the caller sees the exception.
+  EXPECT_THROW(pool.run(body), std::runtime_error);
+  call = 2;
+  pool.run(body);  // captured error was cleared; the pool is not poisoned
+  for (std::size_t w = 0; w < kParticipants; ++w) EXPECT_EQ(runs[w], 3);
 }
 
-TEST(WorkerTeam, BodyExceptionRethrownAndTeamStaysUsable) {
-  constexpr std::size_t kWorkers = 3;
-  ThreadPool pool{kWorkers};
-  std::atomic<int> epoch{0};
-  std::vector<int> runs(kWorkers, 0);
-  WorkerTeam team{pool, kWorkers, [&](std::size_t w) {
-                    ++runs[w];
-                    if (epoch.load() == 1 && w == 1)
-                      throw std::runtime_error("worker 1 bad epoch");
-                  }};
-  team.run_epoch();
-  epoch.store(1);
-  // The throwing worker still reaches the epoch barrier: the epoch completes
-  // on every worker, THEN the coordinator sees the exception.
-  EXPECT_THROW(team.run_epoch(), std::runtime_error);
-  epoch.store(2);
-  team.run_epoch();  // captured error was cleared; the team is not poisoned
-  for (std::size_t w = 0; w < kWorkers; ++w) EXPECT_EQ(runs[w], 3);
-}
-
-TEST(WorkerTeam, BackToBackTeamsOnOnePool) {
-  ThreadPool pool{2};
-  for (int round = 0; round < 3; ++round) {
-    std::vector<int> runs(2, 0);
-    WorkerTeam team{pool, 2, [&](std::size_t w) { ++runs[w]; }};
-    team.run_epoch();
-    team.run_epoch();
-    EXPECT_EQ(runs[0], 2);
-    EXPECT_EQ(runs[1], 2);
-  }
-  pool.wait_idle();
-  EXPECT_EQ(pool.in_flight(), 0u);
-}
-
-// Sustained epoch loop mimicking the fleet engine's steady state: the
-// coordinator mutates shared (plain, non-atomic) per-epoch inputs while the
-// workers are parked, workers fold them into disjoint accumulators. Run under
-// TSan this is the determinism-critical handshake; 500 epochs gives the
-// scheduler room to interleave wake-ups badly.
-TEST(WorkerTeam, StressEpochLoopWithSerialPhases) {
-  constexpr std::size_t kWorkers = 4;
+// Sustained epoch loop mimicking the fleet engine's steady state: the caller
+// mutates shared (plain, non-atomic) per-epoch inputs while the threads are
+// parked, participants fold them into disjoint accumulators. Run under TSan
+// this is the determinism-critical handshake; 500 epochs gives the scheduler
+// room to interleave wake-ups badly.
+TEST(ThreadPool, StressEpochLoopWithSerialPhases) {
+  constexpr std::size_t kParticipants = 4;
   constexpr std::uint64_t kEpochs = 500;
-  ThreadPool pool{kWorkers};
-  std::vector<std::uint64_t> input(kWorkers, 0);  // written between epochs
-  std::vector<std::uint64_t> acc(kWorkers, 0);    // worker-owned slots
-  {
-    WorkerTeam team{pool, kWorkers,
-                    [&](std::size_t w) { acc[w] += input[w]; }};
-    for (std::uint64_t e = 1; e <= kEpochs; ++e) {
-      for (std::size_t w = 0; w < kWorkers; ++w) input[w] = e * (w + 1);
-      team.run_epoch();
-    }
+  ThreadPool pool{kParticipants};
+  std::vector<std::uint64_t> input(kParticipants, 0);  // written between epochs
+  std::vector<std::uint64_t> acc(kParticipants, 0);    // participant-owned
+  for (std::uint64_t e = 1; e <= kEpochs; ++e) {
+    for (std::size_t w = 0; w < kParticipants; ++w) input[w] = e * (w + 1);
+    pool.run([&](std::size_t w) { acc[w] += input[w]; });
   }
   const std::uint64_t sum = kEpochs * (kEpochs + 1) / 2;
-  for (std::size_t w = 0; w < kWorkers; ++w)
-    EXPECT_EQ(acc[w], sum * (w + 1)) << "worker " << w;
+  for (std::size_t w = 0; w < kParticipants; ++w)
+    EXPECT_EQ(acc[w], sum * (w + 1)) << "participant " << w;
 }
 
 }  // namespace

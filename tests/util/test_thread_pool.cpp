@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <memory>
+#include <cstddef>
+#include <filesystem>
+#include <iterator>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -12,112 +14,138 @@
 namespace aqua::util {
 namespace {
 
-TEST(ThreadPool, SubmitReturnsTaskResult) {
-  ThreadPool pool{2};
-  auto f = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
+TEST(ThreadPool, RunsEachParticipantOncePerCall) {
+  ThreadPool pool{4};
+  ASSERT_EQ(pool.thread_count(), 4u);
+  std::vector<std::atomic<int>> hits(pool.thread_count());
+  for (int call = 1; call <= 3; ++call) {
+    pool.run([&](std::size_t w) { hits[w].fetch_add(1); });
+    for (std::size_t w = 0; w < hits.size(); ++w)
+      EXPECT_EQ(hits[w].load(), call) << "participant " << w;
+  }
+}
+
+TEST(ThreadPool, ParticipantZeroIsTheCallingThread) {
+  ThreadPool pool{3};
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ids(pool.thread_count());
+  pool.run([&](std::size_t w) { ids[w] = std::this_thread::get_id(); });
+  EXPECT_EQ(ids[0], caller);
+  EXPECT_NE(ids[1], caller);
+  EXPECT_NE(ids[2], caller);
+  EXPECT_NE(ids[1], ids[2]);
+}
+
+// Threads of this process, counted from /proc (Linux only).
+std::ptrdiff_t process_thread_count() {
+  const std::filesystem::path tasks{"/proc/self/task"};
+  if (!std::filesystem::exists(tasks)) return -1;
+  return std::distance(std::filesystem::directory_iterator{tasks},
+                       std::filesystem::directory_iterator{});
+}
+
+TEST(ThreadPool, SingleThreadPoolStartsNoThread) {
+  const std::ptrdiff_t before = process_thread_count();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/task on this platform";
+  {
+    ThreadPool pool{1};
+    EXPECT_EQ(process_thread_count(), before);
+  }
+  {
+    ThreadPool pool{3};  // the caller plus two parked threads
+    EXPECT_EQ(process_thread_count(), before + 2);
+  }
+  EXPECT_EQ(process_thread_count(), before);
+}
+
+TEST(ThreadPool, SingleThreadPoolStillDrainsManyTasks) {
+  ThreadPool pool{1};
+  const std::thread::id caller = std::this_thread::get_id();
+  int count = 0;  // only the caller ever runs a body: no atomic needed
+  for (int i = 0; i < 300; ++i)
+    pool.run([&](std::size_t w) {
+      EXPECT_EQ(w, 0u);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      ++count;
+    });
+  EXPECT_EQ(count, 300);
 }
 
 TEST(ThreadPool, CompletesAllTasksUnderContention) {
-  // Many more tasks than workers, all hammering one atomic: every task must
-  // run exactly once regardless of which queue it lands in or who steals it.
+  // Many calls, every participant hammering one atomic: each participant
+  // runs exactly once per call, whichever thread is slowest to wake.
   ThreadPool pool{4};
   std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  futures.reserve(1000);
-  for (int i = 0; i < 1000; ++i)
-    futures.push_back(pool.submit([&count] {
+  for (int i = 0; i < 250; ++i)
+    pool.run([&count](std::size_t) {
       count.fetch_add(1, std::memory_order_relaxed);
-    }));
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(count.load(), 1000);
-  EXPECT_EQ(pool.in_flight(), 0u);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool{4};
-  std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < hits.size(); ++i)
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-}
-
-TEST(ThreadPool, ExceptionPropagatesToCallerThroughFuture) {
-  ThreadPool pool{2};
-  auto f = pool.submit(
-      []() -> int { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-  // The pool survives a throwing task.
-  EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
-}
-
-TEST(ThreadPool, ParallelForRethrowsAfterFinishingOtherBlocks) {
-  ThreadPool pool{3};
-  std::atomic<int> completed{0};
-  EXPECT_THROW(
-      pool.parallel_for(100,
-                        [&](std::size_t i) {
-                          if (i == 37) throw std::invalid_argument("bad index");
-                          completed.fetch_add(1);
-                        }),
-      std::invalid_argument);
-  // The rethrow happens only after every block finished: at most the tail of
-  // the one chunk that threw (≤ ⌈100/12⌉ indices) may be missing.
-  EXPECT_GE(completed.load(), 90);
-  EXPECT_LE(completed.load(), 99);
-}
-
-TEST(ThreadPool, GracefulShutdownDrainsQueuedWork) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool{2};
-    for (int i = 0; i < 200; ++i)
-      (void)pool.submit([&count] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        count.fetch_add(1);
-      });
-    // Destructor runs with most of the queue still pending.
-  }
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, WaitIdleBlocksUntilQueueEmpty) {
-  ThreadPool pool{2};
-  std::atomic<int> count{0};
-  for (int i = 0; i < 50; ++i)
-    (void)pool.submit([&count] {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      count.fetch_add(1);
     });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 50);
-  EXPECT_EQ(pool.in_flight(), 0u);
+  EXPECT_EQ(count.load(), 1000);
 }
 
-TEST(ThreadPool, NestedSubmitFromWorkerCompletes) {
-  // A task spawning a subtask exercises the worker-local LIFO path.
-  ThreadPool pool{2};
-  auto outer = pool.submit([&pool] {
-    auto inner = pool.submit([] { return 7; });
-    return inner.get() + 1;
-  });
-  EXPECT_EQ(outer.get(), 8);
+TEST(ThreadPool, RethrowsTheLowestIndexExceptionAfterEveryParticipant) {
+  ThreadPool pool{4};
+  std::atomic<int> finished{0};
+  EXPECT_THROW(pool.run([&](std::size_t w) {
+                 if (w == 3) {
+                   // The slowest participant: run() must still wait for it.
+                   std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                   finished.fetch_add(1);
+                   throw std::logic_error("participant 3");
+                 }
+                 finished.fetch_add(1);
+                 if (w == 1) throw std::invalid_argument("participant 1");
+                 if (w == 2) throw std::runtime_error("participant 2");
+               }),
+               std::invalid_argument);
+  EXPECT_EQ(finished.load(), 4);
+
+  // The caller's own exception is participant 0's, the lowest of all.
+  EXPECT_THROW(pool.run([](std::size_t w) {
+                 if (w == 0) throw std::out_of_range("participant 0");
+                 throw std::runtime_error("another participant");
+               }),
+               std::out_of_range);
+
+  // Captured errors were cleared: the pool is not poisoned.
+  std::atomic<int> count{0};
+  pool.run([&](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 4);
+}
+
+TEST(ThreadPool, ConcurrentCallersBothComplete) {
+  // Two threads share one pool; the mutex hands each call the whole team,
+  // so no two calls' bodies ever overlap.
+  ThreadPool pool{3};
+  constexpr int kCalls = 50;
+  std::atomic<int> active{0};
+  std::atomic<int> max_active{0};
+  std::atomic<int> bodies{0};
+  const auto caller = [&] {
+    for (int i = 0; i < kCalls; ++i)
+      pool.run([&](std::size_t) {
+        const int now = active.fetch_add(1) + 1;
+        int seen = max_active.load();
+        while (now > seen && !max_active.compare_exchange_weak(seen, now)) {
+        }
+        bodies.fetch_add(1);
+        active.fetch_sub(1);
+      });
+  };
+  std::thread a{caller};
+  std::thread b{caller};
+  a.join();
+  b.join();
+  EXPECT_EQ(bodies.load(), 2 * kCalls * 3);
+  EXPECT_LE(max_active.load(), 3);
 }
 
 TEST(ThreadPool, DefaultsToAtLeastOneThread) {
   ThreadPool pool;  // hardware concurrency, whatever the machine offers
   EXPECT_GE(pool.thread_count(), 1u);
-  EXPECT_EQ(pool.submit([] { return 3; }).get(), 3);
-}
-
-TEST(ThreadPool, SingleThreadPoolStillDrainsManyTasks) {
-  ThreadPool pool{1};
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 300; ++i)
-    futures.push_back(pool.submit([&count] { count.fetch_add(1); }));
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(count.load(), 300);
+  std::atomic<std::size_t> count{0};
+  pool.run([&](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), pool.thread_count());
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 // checksums across all modes are the determinism proof (same root seed ⇒
 // bit-identical traces at any thread count).
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -20,9 +19,8 @@
 #include <vector>
 
 #include "analog/amplifier.hpp"
-#include "analog/sigma_delta.hpp"
 #include "common.hpp"
-#include "dsp/cic.hpp"
+#include "fault/campaign.hpp"
 #include "fleet/fleet.hpp"
 #include "isif/channel.hpp"
 #include "maf/die.hpp"
@@ -85,17 +83,6 @@ struct RunResult {
   std::size_t sensors = 0;
 };
 
-std::uint64_t trace_checksum(const fleet::FleetEngine& engine) {
-  std::uint64_t checksum = 0;
-  for (std::size_t i = 0; i < engine.size(); ++i)
-    for (const fleet::TraceSample& s : engine.node(i).trace()) {
-      checksum ^= std::bit_cast<std::uint64_t>(s.bridge_voltage);
-      checksum ^= std::bit_cast<std::uint64_t>(s.estimate_mps) * 0x9E37u;
-      checksum ^= std::bit_cast<std::uint64_t>(s.true_mean_mps) * 0x85EBu;
-    }
-  return checksum;
-}
-
 // --- fleet scaling sweep ----------------------------------------------------
 // The sharded epoch loop's scaling proof: a ~1k-sensor fleet run serially and
 // on pools of 2/4/8, checksum-compared, plus a fleet-size completion run
@@ -155,7 +142,7 @@ RunResult run_scaling_mode(unsigned threads, std::size_t replicas,
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
   r.throughput = static_cast<double>(engine.size()) * epoch_s *
                  static_cast<double>(epochs) / r.wall_s;
-  r.checksum = trace_checksum(engine);
+  r.checksum = fault::fleet_trace_checksum(engine);
   return r;
 }
 
@@ -343,30 +330,29 @@ HydroScaling measure_hydro_scaling() {
 
 // --- per-stage micro throughput -------------------------------------------
 // Samples/s through each hot-path stage, measured standalone so the JSON
-// artifact records where the end-to-end fleet number comes from. The
-// channel_block / channel_scalar pair is the PR-level contract the CI
-// regression gate (ci/bench_compare.py) checks.
+// artifact records where the end-to-end fleet number comes from. The CI gates
+// (ci/bench_compare.py) read same-binary ratios of these rates: the channel's
+// fused frame loop and its lanes against the per-tick tick() oracle path.
 struct StageRates {
   double amp_scalar = 0.0;
-  double amp_block = 0.0;
-  double sigma_delta_block = 0.0;
-  double cic_block = 0.0;
   double channel_scalar = 0.0;
   double channel_block = 0.0;
-  /// Channel block path with the trace recorder compiled in but explicitly
-  /// disabled — the cost of the dormant AQUA_TRACE_* branches, gated in CI
-  /// like channel_block_sps (a tracing hook that slows the disabled hot path
-  /// >20% is a regression).
+  /// The same fused frame path measured again after an explicit tracing
+  /// kill-switch: the hot path a production run with tracing off pays for
+  /// the dormant AQUA_TRACE_* branches.
   double channel_block_tracing_off = 0.0;
   /// Cross-sensor SIMD lanes (simd::ChannelBatch over kBatchChannels
-  /// channels, aggregate channel-samples/s). channel_batch / channel_block is
-  /// the PR's gated ratio: per-sample cost with W sensors per instruction vs
-  /// the scalar fused frame.
+  /// channels, aggregate channel-samples/s): the same fused frame loop with
+  /// W sensors per instruction.
   double channel_batch = 0.0;
   double thermal_step = 0.0;
 };
 
 constexpr int kBatchChannels = 8;  // a multiple of every lane width
+
+/// a / b, or 0 when nothing was measured — the same-binary ratios the CI
+/// gates read.
+double ratio(double a, double b) { return b > 0.0 ? a / b : 0.0; }
 
 // Repeats `body(batch)` until ~0.2 s has elapsed; returns samples/second.
 template <typename Body>
@@ -396,24 +382,7 @@ StageRates measure_stages() {
       for (int i = 0; i < kFrame; ++i)
         sink += amp.step(util::volts(1e-3), dt);
     });
-    std::vector<double> in(kFrame, 1e-3), out(kFrame);
-    s.amp_block = rate_per_second(
-        kFrame, [&] { amp.process_block(in, out, dt); });
     if (sink == 42.0) std::printf(" ");  // keep the scalar loop live
-  }
-  {
-    analog::SigmaDeltaModulator sd{analog::SigmaDeltaSpec{}, util::Rng{8}};
-    std::vector<double> in(kFrame, 0.2), bits(kFrame);
-    s.sigma_delta_block =
-        rate_per_second(kFrame, [&] { (void)sd.process_block(in, bits); });
-  }
-  {
-    dsp::CicDecimator cic{3, kFrame};
-    std::vector<double> in(kFrame, 1.0), out(4);
-    for (int i = 0; i < kFrame; ++i) in[static_cast<std::size_t>(i)] =
-        (i % 3 == 0) ? 1.0 : -1.0;
-    s.cic_block =
-        rate_per_second(kFrame, [&] { (void)cic.push_block(in, out); });
   }
   {
     // The gated pair: alternate short scalar/block windows and keep the best
@@ -502,12 +471,7 @@ RunResult run_mode(unsigned threads, double sim_seconds) {
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
   r.throughput =
       static_cast<double>(engine.size()) * sim_seconds / r.wall_s;
-  for (std::size_t i = 0; i < engine.size(); ++i)
-    for (const fleet::TraceSample& s : engine.node(i).trace()) {
-      r.checksum ^= std::bit_cast<std::uint64_t>(s.bridge_voltage);
-      r.checksum ^= std::bit_cast<std::uint64_t>(s.estimate_mps) * 0x9E37u;
-      r.checksum ^= std::bit_cast<std::uint64_t>(s.true_mean_mps) * 0x85EBu;
-    }
+  r.checksum = fault::fleet_trace_checksum(engine);
   return r;
 }
 
@@ -590,17 +554,16 @@ void write_json_report(const std::vector<std::pair<std::string, RunResult>>& mod
         buf, sizeof buf,
         "  \"stages\": {\n"
         "    \"amp_scalar_sps\": %.0f,\n"
-        "    \"amp_block_sps\": %.0f,\n"
-        "    \"sigma_delta_block_sps\": %.0f,\n"
-        "    \"cic_block_sps\": %.0f,\n"
         "    \"channel_scalar_sps\": %.0f,\n"
         "    \"channel_block_sps\": %.0f,\n"
         "    \"channel_block_over_scalar\": %.3f,\n"
         "    \"channel_block_tracing_off_sps\": %.0f,\n"
         "    \"channel_tracing_off_over_block\": %.3f,\n"
+        "    \"channel_tracing_off_over_scalar\": %.3f,\n"
         "    \"lane_width\": %d,\n"
         "    \"channel_batch_sps\": %.0f,\n"
         "    \"channel_batch_over_block\": %.3f,\n"
+        "    \"channel_batch_over_scalar\": %.3f,\n"
         "    \"fleet_nockpt_sps\": %.0f,\n"
         "    \"fleet_ckpt_sps\": %.0f,\n"
         "    \"fleet_ckpt_over_nockpt\": %.3f,\n"
@@ -608,19 +571,14 @@ void write_json_report(const std::vector<std::pair<std::string, RunResult>>& mod
         "    \"checkpoint_image_bytes\": %zu,\n"
         "    \"thermal_step_sps\": %.0f\n"
         "  },\n",
-        stages.amp_scalar, stages.amp_block, stages.sigma_delta_block,
-        stages.cic_block, stages.channel_scalar, stages.channel_block,
-        stages.channel_scalar > 0.0
-            ? stages.channel_block / stages.channel_scalar
-            : 0.0,
+        stages.amp_scalar, stages.channel_scalar, stages.channel_block,
+        ratio(stages.channel_block, stages.channel_scalar),
         stages.channel_block_tracing_off,
-        stages.channel_block > 0.0
-            ? stages.channel_block_tracing_off / stages.channel_block
-            : 0.0,
+        ratio(stages.channel_block_tracing_off, stages.channel_block),
+        ratio(stages.channel_block_tracing_off, stages.channel_scalar),
         simd::active_lane_width(), stages.channel_batch,
-        stages.channel_block > 0.0
-            ? stages.channel_batch / stages.channel_block
-            : 0.0,
+        ratio(stages.channel_batch, stages.channel_block),
+        ratio(stages.channel_batch, stages.channel_scalar),
         ckpt.nockpt_sps, ckpt.ckpt_sps, ckpt.ratio, ckpt.interval,
         ckpt.image_bytes, stages.thermal_step);
     out += buf;
@@ -724,25 +682,16 @@ int main() {
   std::printf("\nper-stage micro throughput (samples/s):\n");
   const StageRates stages = measure_stages();
   std::printf("  %-22s %12.3e\n", "amp scalar", stages.amp_scalar);
-  std::printf("  %-22s %12.3e\n", "amp block", stages.amp_block);
-  std::printf("  %-22s %12.3e\n", "sigma-delta block", stages.sigma_delta_block);
-  std::printf("  %-22s %12.3e\n", "cic block", stages.cic_block);
   std::printf("  %-22s %12.3e\n", "channel scalar ticks", stages.channel_scalar);
   std::printf("  %-22s %12.3e  (%.2fx scalar)\n", "channel block frames",
               stages.channel_block,
-              stages.channel_scalar > 0.0
-                  ? stages.channel_block / stages.channel_scalar
-                  : 0.0);
+              ratio(stages.channel_block, stages.channel_scalar));
   std::printf("  %-22s %12.3e  (%.2fx traced-build block)\n",
               "channel (tracing off)", stages.channel_block_tracing_off,
-              stages.channel_block > 0.0
-                  ? stages.channel_block_tracing_off / stages.channel_block
-                  : 0.0);
+              ratio(stages.channel_block_tracing_off, stages.channel_block));
   std::printf("  %-22s %12.3e  (%.2fx block, lane width %d)\n",
               "channel batch lanes", stages.channel_batch,
-              stages.channel_block > 0.0
-                  ? stages.channel_batch / stages.channel_block
-                  : 0.0,
+              ratio(stages.channel_batch, stages.channel_block),
               simd::active_lane_width());
   std::printf("  %-22s %12.3e\n", "thermal die step", stages.thermal_step);
 

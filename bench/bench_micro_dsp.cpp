@@ -3,7 +3,7 @@
 // simulated seconds at the modulator clock) complete in minutes.
 #include <benchmark/benchmark.h>
 
-#include <array>
+#include <memory>
 #include <vector>
 
 #include "analog/amplifier.hpp"
@@ -84,12 +84,13 @@ void BM_ChannelTick(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelTick);
 
-// --- per-stage block vs scalar (DESIGN.md §9) -------------------------------
-// Each pair measures the same work through the per-tick path and through the
-// block path; items_per_second is modulator samples per second either way, so
-// the ratio is the block speedup the CI gate in ci/bench_compare.py tracks.
-
-constexpr int kBlock = 128;  // one default decimation frame
+// --- the channel's fused frame loop (DESIGN.md §9, §13) ---------------------
+// BM_ChannelTick above is the per-tick oracle path; BM_ChannelFrame runs the
+// same work through InputChannel::process_frame, the W = 1 instance of the
+// one fused frame loop; BM_ChannelBatch runs that loop in simd::ChannelBatch
+// at each lane width. items_per_second counts channel samples (modulator
+// ticks) in every row, so the rows compare directly. Widths beyond the host
+// ISA lower to narrower code: same values, less speedup.
 
 void BM_AmpStep(benchmark::State& state) {
   analog::InstrumentAmp amp{{}, util::hertz(256e3), util::Rng{11}};
@@ -103,71 +104,6 @@ void BM_AmpStep(benchmark::State& state) {
 }
 BENCHMARK(BM_AmpStep);
 
-void BM_AmpBlock(benchmark::State& state) {
-  analog::InstrumentAmp amp{{}, util::hertz(256e3), util::Rng{11}};
-  const util::Seconds dt{1.0 / 256e3};
-  std::array<double, kBlock> in{}, out{};
-  for (int i = 0; i < kBlock; ++i) in[static_cast<std::size_t>(i)] =
-      (i % 2 == 0) ? 1e-3 : -1e-3;
-  for (auto _ : state) {
-    amp.process_block(in, out, dt);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * kBlock);
-}
-BENCHMARK(BM_AmpBlock);
-
-void BM_SigmaDeltaBlock(benchmark::State& state) {
-  analog::SigmaDeltaModulator sd{{}, util::Rng{1}};
-  std::array<double, kBlock> in{}, bits{};
-  for (int i = 0; i < kBlock; ++i) in[static_cast<std::size_t>(i)] =
-      (i % 2 == 0) ? 0.1 : -0.1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sd.process_block(in, bits));
-  }
-  state.SetItemsProcessed(state.iterations() * kBlock);
-}
-BENCHMARK(BM_SigmaDeltaBlock);
-
-void BM_CicPushBlock(benchmark::State& state) {
-  const int r = static_cast<int>(state.range(0));
-  dsp::CicDecimator cic{3, r};
-  std::vector<double> in(static_cast<std::size_t>(r));
-  for (int i = 0; i < r; ++i) in[static_cast<std::size_t>(i)] =
-      (i % 2 == 0) ? 1.0 : -1.0;
-  double out = 0.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cic.push_block(in, std::span<double>{&out, 1}));
-  }
-  state.SetItemsProcessed(state.iterations() * r);
-}
-BENCHMARK(BM_CicPushBlock)->Arg(32)->Arg(128);
-
-// --- cross-sensor SIMD lanes in isolation (DESIGN.md §13) -------------------
-// One lane group of W sensors through just the ΣΔ quantiser loop / just the
-// CIC integrator cascade; items_per_second counts sensor-samples, so the
-// W = 1 row is directly comparable to the scalar block rows above and the
-// W > 1 rows show the per-instruction win of each stage alone. Widths beyond
-// the host ISA lower to scalar code — same values, no speedup.
-
-void BM_SigmaDeltaLanes(benchmark::State& state) {
-  const int width = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::run_sigma_delta_lanes(kBlock, width));
-  }
-  state.SetItemsProcessed(state.iterations() * kBlock * width);
-}
-BENCHMARK(BM_SigmaDeltaLanes)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_CicLanes(benchmark::State& state) {
-  const int width = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::run_cic_lanes(kBlock, 3, kBlock, width));
-  }
-  state.SetItemsProcessed(state.iterations() * kBlock * width);
-}
-BENCHMARK(BM_CicLanes)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 void BM_ChannelFrame(benchmark::State& state) {
   isif::InputChannel ch{isif::ChannelConfig{}, util::Rng{2}};
   const int frame = ch.config().decimation;
@@ -178,6 +114,28 @@ void BM_ChannelFrame(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * frame);
 }
 BENCHMARK(BM_ChannelFrame);
+
+void BM_ChannelBatch(benchmark::State& state) {
+  constexpr int kChannels = 8;  // a multiple of every lane width
+  const int width = static_cast<int>(state.range(0));
+  std::vector<std::unique_ptr<isif::InputChannel>> channels;
+  for (int c = 0; c < kChannels; ++c)
+    channels.push_back(std::make_unique<isif::InputChannel>(
+        isif::ChannelConfig{}, util::Rng{2}));
+  const int frame = channels.front()->config().decimation;
+  std::vector<double> in(static_cast<std::size_t>(frame), 3e-3);
+  std::vector<simd::ChannelFrameInput> inputs;
+  for (auto& ch : channels)
+    inputs.push_back(simd::ChannelFrameInput{ch.get(), in});
+  std::vector<isif::ChannelSample> out(static_cast<std::size_t>(kChannels));
+  for (auto _ : state) {
+    simd::ChannelBatch::process_frames(inputs, out, width);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kChannels * frame);
+}
+BENCHMARK(BM_ChannelBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_ThermalNetworkStep(benchmark::State& state) {
   maf::MafDie die{maf::MafSpec{}};

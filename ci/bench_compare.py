@@ -7,29 +7,34 @@ same machinery as ci/tier1_baseline_seconds.txt). The job fails when the
 block-path channel throughput regresses more than the allowed fraction, or
 when the block path loses its edge over the scalar reference path entirely.
 
-CI runners differ from the machine that recorded the baseline, so the gates
-come in two characters:
+Every gate is a ratio of two rates measured in the same binary seconds apart,
+so the runner's speed cancels:
 
-* channel_block_sps vs baseline               — absolute samples/s, 20 % slack.
-  Catches "someone deoptimised the fused loop" on comparable hardware.
-* channel_block_tracing_off_sps vs baseline   — same 20 % slack, measured with
-  the trace recorder compiled in but disabled. Catches tracing hooks whose
-  dormant branches leak into the hot path.
-* channel_block_over_scalar ratio >= 1.0      — machine-independent. The block
-  path running SLOWER than per-tick scalar calls in the same binary is a
-  structural regression no amount of runner variance explains.
-* channel_tracing_off_over_block ratio >= 0.8 — machine-independent companion
-  for the tracing overhead: both sides run in the same binary seconds apart,
-  so a >20 % gap is the instrumentation, not the runner.
+* channel_block_over_scalar ratio >= 1.0      — structural. The fused frame
+  loop (InputChannel::process_frame) running SLOWER than per-tick tick() calls
+  in the same binary is a regression no amount of runner variance explains.
+* channel_block_over_scalar >= 80 % of the baseline ratio — catches "someone
+  deoptimised the fused frame loop": tick() does not run that loop, so a
+  slower loop moves the ratio.
+* channel_tracing_off_over_scalar >= 80 % of the baseline ratio — the same
+  check on the frame path measured after the explicit tracing kill-switch:
+  dormant AQUA_TRACE_* branches leaking into the loop move it.
+* channel_tracing_off_over_block ratio >= 0.8 — the two frame-path
+  measurements of one binary must agree; a >20 % gap means the measurement,
+  not the code, is broken.
 * channel_batch_over_block ratio >= 2.0       — machine-independent. The
   cross-sensor SIMD lanes aggregate channel-samples/s against the per-channel
-  block path in the same binary; on any vector host (lane width >= 2) losing
+  frame path in the same binary; on any vector host (lane width >= 2) losing
   the 2x edge means the lanes stopped paying for themselves. Skipped with a
   notice when the binary compiled to lane width 1 (AQUA_SIMD=OFF or a
   no-vector host) — there the batch path IS the scalar arithmetic.
-* channel_batch_sps vs baseline               — absolute samples/s, 20 % slack,
-  compared only when the measured lane width equals the baseline's recorded
-  lane width (an SSE2-only runner against an AVX2 baseline tells us nothing).
+* channel_batch_over_scalar >= 80 % of the baseline ratio — compared only
+  when the measured lane width equals the baseline's recorded lane width.
+  The lanes and process_frame share one loop, so a slower shared loop leaves
+  channel_batch_over_block flat; against tick() it shows.
+* serial trace checksum == 63ffe924fe51d05e   — the scalar path is the
+  bit-identity reference: bench_fleet's serial 32-sensor run must reproduce
+  it, not just agree with its own pool runs.
 * fleet_ckpt_over_nockpt ratio >= 0.9         — machine-independent. The same
   32-sensor epoch loop with a durable checkpoint (serialize + atomic
   temp/fsync/rename) every 100 epochs, against the plain loop in the same
@@ -50,8 +55,11 @@ come in two characters:
   fully serialised loop still scores ~1.0: the script then prints a
   ::warning:: that the gate was not exercised.
 
-Other stage rates are reported but only warn: they feed the artifact for
-trend-watching, not the gate.
+A slowdown common to both sides of a ratio (say, in util::Rng::gaussian,
+which both the frame loop and tick() call) cancels out of these gates; the
+fleetbench end-to-end throughput is where that shows. The absolute stage
+rates are reported and some warn below the baseline: they feed the artifact
+for trend-watching, not the gate.
 
 The trajectory across changes lives in ci/bench_history.jsonl, since the
 BENCH_*.json files are not committed. It holds one JSON object per line,
@@ -73,25 +81,24 @@ Usage: ci/bench_compare.py BENCH_fleet.json ci/bench_baseline.json
 import json
 import sys
 
-REGRESSION_SLACK = 0.20  # fail below 80 % of the baseline throughput
+REGRESSION_SLACK = 0.20  # ratio gates fail below 80 % of the baseline ratio
 SCALING_EFFICIENCY_FLOOR = 0.80  # hardware-normalised, so machine-independent
-GATED_KEYS = ["channel_block_sps", "channel_block_tracing_off_sps"]
 RATIO_KEY = "channel_block_over_scalar"
+BASELINE_RATIO_KEYS = ["channel_block_over_scalar",
+                       "channel_tracing_off_over_scalar"]
 TRACING_RATIO_KEY = "channel_tracing_off_over_block"
 TRACING_RATIO_FLOOR = 0.80
 BATCH_RATIO_KEY = "channel_batch_over_block"
 BATCH_RATIO_FLOOR = 2.0
-BATCH_SPS_KEY = "channel_batch_sps"
+BATCH_SCALAR_RATIO_KEY = "channel_batch_over_scalar"
 LANE_WIDTH_KEY = "lane_width"
 CKPT_RATIO_KEY = "fleet_ckpt_over_nockpt"
 CKPT_RATIO_FLOOR = 0.90
 HYDRO_RATIO_KEY = "hydro_solve_10k_over_1k"
 HYDRO_RATIO_CEILING = 20.0
+SERIAL_CHECKSUM = "63ffe924fe51d05e"
 WARN_KEYS = [
     "amp_scalar_sps",
-    "amp_block_sps",
-    "sigma_delta_block_sps",
-    "cic_block_sps",
     "channel_scalar_sps",
     "thermal_step_sps",
 ]
@@ -139,6 +146,45 @@ def gated_ratio(measured, path, key, section="stages"):
               "write this gated metric (stale bench binary or renamed key?)")
         return None
     return value
+
+
+def check_serial_checksum(path):
+    """The serial 32-sensor run's trace checksum must be the committed scalar
+    reference: the pool runs only prove agreement with the serial run."""
+    report = load_report(path, "measured")
+    if report is None:
+        return True
+    serial = [m for m in report.get("modes", []) if m.get("mode") == "serial"]
+    if not serial:
+        print(f"::error::{path} has no serial mode — bench_fleet did not run "
+              "its determinism proof")
+        return True
+    got = serial[0].get("checksum")
+    print(f"serial trace checksum: {got} (must be {SERIAL_CHECKSUM})")
+    if got != SERIAL_CHECKSUM:
+        print("::error::the scalar path no longer reproduces the committed "
+              f"checksum {SERIAL_CHECKSUM} — a bit-identity regression in "
+              "the scalar reference chain")
+        return True
+    return False
+
+
+def check_baseline_ratio(measured, baseline, path, key):
+    """A same-binary ratio against 80 % of its committed baseline value."""
+    got = gated_ratio(measured, path, key)
+    if got is None:
+        return True
+    want = baseline.get(key, 0.0)
+    floor = want * (1.0 - REGRESSION_SLACK)
+    print(f"{key}: {got:.2f}, baseline {want:.2f}, floor {floor:.2f} "
+          f"({100 * (1 - REGRESSION_SLACK):.0f} %)")
+    if got < floor:
+        print(f"::error::{key} fell >{100 * REGRESSION_SLACK:.0f} % below "
+              "the committed baseline ratio — both rates come from the same "
+              "binary, so the numerator's code path got slower, not the "
+              "runner")
+        return True
+    return False
 
 
 def check_hydro(path):
@@ -215,24 +261,7 @@ def main(argv):
 
     failed = check_scaling(argv[1])
     failed = check_hydro(argv[1]) or failed
-
-    for key in GATED_KEYS:
-        if key not in measured:
-            print(f"::error::{argv[1]} has no stages.{key} — "
-                  "bench_fleet did not write its per-stage section")
-            failed = True
-            continue
-        got = measured[key]
-        want = baseline.get(key, 0.0)
-        floor = want * (1.0 - REGRESSION_SLACK)
-        print(f"{key}: measured {got:.3e}, baseline {want:.3e}, "
-              f"floor {floor:.3e} ({100 * (1 - REGRESSION_SLACK):.0f} %)")
-        if got < floor:
-            print(f"::error::{key} regressed "
-                  f">{100 * REGRESSION_SLACK:.0f} % vs the committed baseline "
-                  f"({got:.3e} < {floor:.3e} samples/s) — update "
-                  f"{argv[2]} only with an explanation")
-            failed = True
+    failed = check_serial_checksum(argv[1]) or failed
 
     ratio = gated_ratio(measured, argv[1], RATIO_KEY)
     if ratio is None:
@@ -251,10 +280,10 @@ def main(argv):
         print(f"{TRACING_RATIO_KEY}: {tracing_ratio:.2f} "
               f"(must stay >= {TRACING_RATIO_FLOOR:.1f})")
         if tracing_ratio < TRACING_RATIO_FLOOR:
-            print("::error::disabled tracing costs more than "
-                  f"{100 * (1 - TRACING_RATIO_FLOOR):.0f} % of channel block "
-                  "throughput — the dormant AQUA_TRACE_* branches leaked into "
-                  "the hot path")
+            print("::error::the two measurements of the same frame path "
+                  f"differ by more than {100 * (1 - TRACING_RATIO_FLOOR):.0f} "
+                  "% — the tracing kill-switch changed the hot path, or the "
+                  "stage timing is broken")
             failed = True
 
     ckpt_ratio = gated_ratio(measured, argv[1], CKPT_RATIO_KEY)
@@ -273,8 +302,12 @@ def main(argv):
                   "variance")
             failed = True
 
-    # The cross-sensor SIMD lane gates. Ratio first: machine-independent, but
-    # only meaningful when the binary actually compiled vector lanes.
+    for key in BASELINE_RATIO_KEYS:
+        failed = check_baseline_ratio(measured, baseline, argv[1], key) \
+            or failed
+
+    # The cross-sensor SIMD lane gates, only meaningful when the binary
+    # actually compiled vector lanes.
     lane_width = measured.get(LANE_WIDTH_KEY, 0)
     batch_ratio = measured.get(BATCH_RATIO_KEY, 0.0)
     if lane_width >= 2:
@@ -282,7 +315,7 @@ def main(argv):
               f"{lane_width} (must stay >= {BATCH_RATIO_FLOOR:.1f})")
         if batch_ratio < BATCH_RATIO_FLOOR:
             print("::error::the cross-sensor SIMD lanes deliver less than "
-                  f"{BATCH_RATIO_FLOOR:.0f}x the per-channel block path in "
+                  f"{BATCH_RATIO_FLOOR:.0f}x the per-channel frame path in "
                   "the same binary — the lanes stopped paying for the "
                   "gather/scatter overhead (structural regression, not "
                   "runner variance)")
@@ -292,24 +325,14 @@ def main(argv):
               f"{lane_width} (AQUA_SIMD=OFF or no vector ISA), the batch "
               "path is the scalar arithmetic there")
 
-    # Absolute batch throughput: only comparable at equal lane width.
+    # Lanes against tick(): the ratio scales with the lane width, so it is
+    # only comparable at the baseline's width.
     base_width = baseline.get(LANE_WIDTH_KEY, 0)
-    batch_sps = measured.get(BATCH_SPS_KEY)
-    base_batch_sps = baseline.get(BATCH_SPS_KEY, 0.0)
-    if batch_sps is not None and base_batch_sps > 0.0 \
-            and lane_width == base_width:
-        floor = base_batch_sps * (1.0 - REGRESSION_SLACK)
-        print(f"{BATCH_SPS_KEY}: measured {batch_sps:.3e}, baseline "
-              f"{base_batch_sps:.3e}, floor {floor:.3e} at lane width "
-              f"{lane_width}")
-        if batch_sps < floor:
-            print(f"::error::{BATCH_SPS_KEY} regressed "
-                  f">{100 * REGRESSION_SLACK:.0f} % vs the committed "
-                  f"baseline at the same lane width ({batch_sps:.3e} < "
-                  f"{floor:.3e} samples/s)")
-            failed = True
-    elif batch_sps is not None and lane_width != base_width:
-        print(f"{BATCH_SPS_KEY}: absolute gate skipped — measured lane width "
+    if lane_width == base_width:
+        failed = check_baseline_ratio(measured, baseline, argv[1],
+                                      BATCH_SCALAR_RATIO_KEY) or failed
+    else:
+        print(f"{BATCH_SCALAR_RATIO_KEY}: skipped — measured lane width "
               f"{lane_width} vs baseline {base_width}, not comparable")
 
     for key in WARN_KEYS:

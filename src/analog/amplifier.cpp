@@ -37,45 +37,22 @@ double InstrumentAmp::step(Volts differential_input, Seconds dt,
   return std::clamp(band_limited, -half_rail, half_rail);
 }
 
-InstrumentAmp::BlockKernel InstrumentAmp::begin_block(Seconds dt,
+InstrumentAmp::FrameState InstrumentAmp::frame_state(Seconds dt,
                                                       Kelvin ambient) const {
   const double drift =
       spec_.offset_drift_per_k * (ambient.value() - util::celsius(25.0).value());
-  return BlockKernel{offset_.value(), drift,        spec_.gain,
-                     0.5 * spec_.rail.value(),      pole_.decay(dt),
-                     pole_.value(),                 saturated_};
+  return FrameState{white_.frame_state(),    flicker_.frame_state(),
+                    offset_.value(),         drift,
+                    spec_.gain,              0.5 * spec_.rail.value(),
+                    pole_.decay(dt),         pole_.value(),
+                    saturated_};
 }
 
-void InstrumentAmp::commit_block(const BlockKernel& k) {
+void InstrumentAmp::commit_frame(const FrameState& k) {
+  white_.commit_frame(k.white);
+  flicker_.commit_frame(k.flicker);
   pole_.reset(k.y);
   saturated_ = k.saturated;
-}
-
-void InstrumentAmp::fill_noise(std::span<double> white,
-                               std::span<double> flicker) {
-  // Each noise source owns an independent stream, so draining n draws from
-  // one before the other leaves both streams exactly where n interleaved
-  // step() calls would (DESIGN.md §9).
-  white_.fill(white);
-  flicker_.fill(flicker);
-}
-
-void InstrumentAmp::process_block(std::span<const double> in,
-                                  std::span<double> out, Seconds dt,
-                                  Kelvin ambient) {
-  if (out.size() < in.size())
-    throw std::invalid_argument("InstrumentAmp: output block too small");
-  const std::size_t n = in.size();
-  if (white_scratch_.size() < n) {
-    white_scratch_.resize(n);
-    flicker_scratch_.resize(n);
-  }
-  fill_noise(std::span<double>{white_scratch_.data(), n},
-             std::span<double>{flicker_scratch_.data(), n});
-  BlockKernel k = begin_block(dt, ambient);
-  for (std::size_t i = 0; i < n; ++i)
-    out[i] = k.step(in[i], white_scratch_[i], flicker_scratch_[i]);
-  commit_block(k);
 }
 
 void InstrumentAmp::reset() {

@@ -6,11 +6,6 @@
 // drift, white + flicker input noise, single-pole bandwidth, rail saturation.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
-#include <span>
-#include <vector>
-
 #include "analog/noise.hpp"
 #include "sim/integrator.hpp"
 #include "util/rng.hpp"
@@ -44,58 +39,20 @@ class InstrumentAmp {
   double step(util::Volts differential_input, util::Seconds dt,
               util::Kelvin ambient = util::celsius(25.0));
 
-  /// Block execution: amplifies in.size() samples (volts, one per tick of
-  /// `dt`) into `out`. Bit-identical to in.size() step() calls — same noise
-  /// draw order, same FP operation order per sample — but the noise draws are
-  /// batched into an internal scratch buffer and the bandwidth pole's decay
-  /// factor is computed once per block instead of once per sample. The
-  /// scratch grows to the largest block seen and is then reused (no
-  /// steady-state allocation).
-  void process_block(std::span<const double> in, std::span<double> out,
-                     util::Seconds dt,
-                     util::Kelvin ambient = util::celsius(25.0));
-
-  /// Register-resident per-block state for fused frame kernels
-  /// (isif::InputChannel::process_frame and this class's process_block).
-  /// Build with begin_block(), call step() once per sample with that
-  /// sample's pre-drawn noise values, then commit_block(). step() performs
-  /// the identical FP operations, in the identical order, as
-  /// InstrumentAmp::step() — the block-execution contract (DESIGN.md §9).
-  struct BlockKernel {
+  /// The stage as plain data for the fused frame loop (isif/frame_loop.hpp,
+  /// DESIGN.md §9): both noise streams, the per-frame constants step()
+  /// derives (drift at `ambient`, pole decay for `dt`, half rail) and the
+  /// live pole value and saturation flag. The loop applies step()'s FP
+  /// operations in step()'s order; commit_frame() writes the state back.
+  struct FrameState {
+    WhiteNoise::FrameState white;
+    FlickerNoise::FrameState flicker;
     double offset, drift, gain, half_rail, a, y;
     bool saturated;
-    double step(double in, double white, double flicker) {
-      const double input = in + offset + drift + white + flicker;
-      const double target = gain * input;
-      y = (a <= 0.0) ? target : target + (y - target) * a;
-      saturated = std::abs(y) > half_rail;
-      return std::clamp(y, -half_rail, half_rail);
-    }
   };
-  /// Captures hoisted per-block constants (drift, gain, pole decay for `dt`)
-  /// and the live pole/saturation state.
-  [[nodiscard]] BlockKernel begin_block(util::Seconds dt,
-                                        util::Kelvin ambient) const;
-  /// Writes a kernel's state (pole value, saturation flag) back.
-  void commit_block(const BlockKernel& k);
-  /// Batched draws from the amp's two independent noise streams — exactly the
-  /// values out.size() interleaved step() calls would consume.
-  void fill_noise(std::span<double> white, std::span<double> flicker);
-
-  /// Draw kernels for fully fused frame loops: the amp's two noise streams as
-  /// register-resident state, drawn one sample at a time in the same
-  /// white-then-flicker order as step() (DESIGN.md §9).
-  struct NoiseKernel {
-    WhiteNoise::BlockKernel white;
-    FlickerNoise::BlockKernel flicker;
-  };
-  [[nodiscard]] NoiseKernel begin_noise_block() const {
-    return NoiseKernel{white_.begin_block(), flicker_.begin_block()};
-  }
-  void commit_noise_block(const NoiseKernel& k) {
-    white_.commit_block(k.white);
-    flicker_.commit_block(k.flicker);
-  }
+  [[nodiscard]] FrameState frame_state(util::Seconds dt,
+                                       util::Kelvin ambient) const;
+  void commit_frame(const FrameState& k);
 
   /// Returns the stage to its post-construction state: pole discharged,
   /// saturation flag cleared, noise streams rewound. The offset is a one-time
@@ -129,8 +86,6 @@ class InstrumentAmp {
   FlickerNoise flicker_;
   sim::FirstOrderLag pole_;
   bool saturated_ = false;
-  std::vector<double> white_scratch_;    // block-path noise staging
-  std::vector<double> flicker_scratch_;
 };
 
 }  // namespace aqua::analog

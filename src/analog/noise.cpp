@@ -21,12 +21,6 @@ WhiteNoise::WhiteNoise(double density, Hertz sample_rate, Rng rng)
 
 double WhiteNoise::sample() { return rng_.gaussian(0.0, sigma_); }
 
-void WhiteNoise::fill(std::span<double> out) {
-  BlockKernel k = begin_block();
-  for (double& x : out) x = k.draw();
-  commit_block(k);
-}
-
 void WhiteNoise::reset() { rng_ = initial_rng_; }
 
 FlickerNoise::FlickerNoise(double density_at_corner, Hertz corner,
@@ -60,18 +54,12 @@ double FlickerNoise::sample() {
   const int row = std::countr_zero(counter_) % kRows;
   rows_[static_cast<std::size_t>(row)] = rng_.gaussian();
   // Chain order is high row -> low row. The frequently-updated low rows sit at
-  // the tail of the chain, which lets fill() resume a cached partial sum; the
-  // scalar path just walks the whole chain. Both paths add in this exact
+  // the tail of the chain, which lets FrameState::draw_with() resume a cached
+  // partial sum; the scalar path just walks the whole chain. Both paths add in this exact
   // order, so they are bit-identical.
   double acc = 0.0;
   for (int j = kRows - 1; j >= 0; --j) acc += rows_[static_cast<std::size_t>(j)];
   return scale_ * acc / std::sqrt(static_cast<double>(kRows));
-}
-
-void FlickerNoise::fill(std::span<double> out) {
-  BlockKernel k = begin_block();
-  for (double& x : out) x = k.draw();
-  commit_block(k);
 }
 
 double thermal_noise_density(Ohms resistance, Kelvin t) {

@@ -7,7 +7,6 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <span>
 
 #include "state/rng_io.hpp"
 #include "util/rng.hpp"
@@ -23,25 +22,22 @@ class WhiteNoise {
   WhiteNoise(double density, util::Hertz sample_rate, util::Rng rng);
 
   double sample();
-  /// Batched draw: writes out.size() consecutive samples, advancing the
-  /// stream exactly as out.size() sample() calls would (bit-identical values
-  /// and stream position — the block-execution contract, DESIGN.md §9).
-  void fill(std::span<double> out);
   /// Rewinds the draw stream to its construction state, so a reset component
   /// replays bit-identically (the library-wide reset contract, DESIGN.md §8).
   void reset();
   [[nodiscard]] double sigma() const { return sigma_; }
 
-  /// Register-resident draw state for fused frame kernels (DESIGN.md §9):
-  /// draw() is sample() on a local copy of the stream, inline in the caller's
-  /// loop. commit_block() writes the advanced stream back.
-  struct BlockKernel {
-    util::Rng rng;
+  /// The stream as plain data for the fused frame loop (isif/frame_loop.hpp,
+  /// DESIGN.md §9), which draws `0.0 + sigma · gaussian` per tick exactly as
+  /// sample() does; commit_frame() writes the advanced stream back.
+  struct FrameState {
+    util::Rng::State stream;
     double sigma;
-    double draw() { return rng.gaussian(0.0, sigma); }
   };
-  [[nodiscard]] BlockKernel begin_block() const { return {rng_, sigma_}; }
-  void commit_block(const BlockKernel& k) { rng_ = k.rng; }
+  [[nodiscard]] FrameState frame_state() const {
+    return {rng_.state(), sigma_};
+  }
+  void commit_frame(const FrameState& k) { rng_.set_state(k.stream); }
 
   /// Checkpoint support (DESIGN.md §14): the stream position is the only
   /// evolving state; sigma and the rewind anchor are construction-time.
@@ -62,27 +58,24 @@ class FlickerNoise {
                util::Hertz sample_rate, util::Rng rng);
 
   double sample();
-  /// Batched draw; same contract as WhiteNoise::fill — bit-identical to
-  /// out.size() consecutive sample() calls.
-  void fill(std::span<double> out);
   /// Restores rows, counter and draw stream to their construction state.
   void reset();
 
   static constexpr int kRows = 16;
-  // The BlockKernel folds /√kRows into its scale; that is only bit-identical
-  // to sample() when √kRows is a power of two (exact scaling).
+  // FrameState folds /√kRows into its scale; that is only bit-identical to
+  // sample() when √kRows is a power of two (exact scaling).
   static_assert(std::has_single_bit(unsigned{kRows}) &&
                     std::countr_zero(unsigned{kRows}) % 2 == 0,
                 "kRows must be an even power of two so √kRows scales exactly");
 
-  /// Register-resident draw state for fused frame kernels (DESIGN.md §9).
-  /// Carries the suffix-partial cache of the Voss-McCartney chain: each draw
+  /// The generator as plain data for the fused frame loop (DESIGN.md §9),
+  /// plus the suffix-partial cache of the Voss-McCartney chain: each draw
   /// replaces exactly one row, so only the chain tail below the replaced row
   /// is re-added — on average ~2 additions instead of kRows. Every addition
   /// performed uses the same operands in the same order as sample(), so
-  /// draws are bit-identical; the first draw of a block pays the full chain.
-  struct BlockKernel {
-    util::Rng rng;
+  /// draws are bit-identical; the first draw of a frame pays the full chain.
+  struct FrameState {
+    util::Rng::State stream;  // the row draws
     std::array<double, kRows> rows;
     std::array<double, kRows + 1> partial;  // partial[j] = Σ rows[kRows-1..j]
     unsigned counter;
@@ -92,12 +85,10 @@ class FlickerNoise {
                   // round to the same bits (normal range) — still within the
                   // bit-identity contract.
     bool primed;
-    /// draw() with the row's Gaussian supplied by the caller instead of drawn
-    /// from the kernel's own stream. The cross-sensor SIMD layer uses this to
-    /// feed lane-parallel Gaussian draws through the (inherently sequential)
-    /// Voss–McCartney chain; draw() is exactly draw_with(rng.gaussian()) —
-    /// the row draw is the kernel's only stream use, so hoisting it to the
-    /// call site changes no value and no stream position.
+    /// sample() with the row's Gaussian supplied by the caller: the frame
+    /// loop draws it from `stream` through its noise policy (the polar
+    /// generator at W = 1, so draw_with(Rng{stream}.gaussian()) is exactly
+    /// sample()), then feeds it through the inherently sequential chain.
     double draw_with(double row_gaussian) {
       ++counter;
       const int row = std::countr_zero(counter) % kRows;
@@ -110,16 +101,15 @@ class FlickerNoise {
       primed = true;
       return partial[0] * norm;
     }
-    double draw() { return draw_with(rng.gaussian()); }
   };
-  [[nodiscard]] BlockKernel begin_block() const {
-    BlockKernel k{rng_, rows_, {}, counter_,
-                  scale_ / std::sqrt(static_cast<double>(kRows)), false};
+  [[nodiscard]] FrameState frame_state() const {
+    FrameState k{rng_.state(), rows_, {}, counter_,
+                 scale_ / std::sqrt(static_cast<double>(kRows)), false};
     k.partial[kRows] = 0.0;
     return k;
   }
-  void commit_block(const BlockKernel& k) {
-    rng_ = k.rng;
+  void commit_frame(const FrameState& k) {
+    rng_.set_state(k.stream);
     rows_ = k.rows;
     counter_ = k.counter;
   }

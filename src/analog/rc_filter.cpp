@@ -21,15 +21,8 @@ double RcLowpass::step(double input, Seconds dt) {
   return x;
 }
 
-void RcLowpass::process_block(std::span<double> inout, Seconds dt) {
-  for (auto& s : stages_) {
-    const double a = s.decay(dt);
-    for (double& x : inout) x = s.step_with_decay(x, a);
-  }
-}
-
-RcLowpass::BlockKernel RcLowpass::begin_block(Seconds dt) const {
-  BlockKernel k;
+RcLowpass::FrameState RcLowpass::frame_state(Seconds dt) const {
+  FrameState k;
   k.poles = static_cast<int>(stages_.size());
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     k.a[i] = stages_[i].decay(dt);
@@ -38,7 +31,7 @@ RcLowpass::BlockKernel RcLowpass::begin_block(Seconds dt) const {
   return k;
 }
 
-void RcLowpass::commit_block(const BlockKernel& k) {
+void RcLowpass::commit_frame(const FrameState& k) {
   for (std::size_t i = 0; i < stages_.size(); ++i) stages_[i].reset(k.y[i]);
 }
 

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <array>
-#include <span>
 #include <vector>
 
 #include "sim/integrator.hpp"
@@ -21,29 +20,16 @@ class RcLowpass {
 
   double step(double input, util::Seconds dt);
 
-  /// Filters the block in place, one sample per tick of `dt`. Stage-major:
-  /// each pole sweeps the whole block with its decay factor hoisted out of
-  /// the loop. Per sample each stage applies the identical FP update as
-  /// step(), so the result is bit-identical to per-sample stepping.
-  void process_block(std::span<double> inout, util::Seconds dt);
-
-  /// Register-resident per-block state for fused frame kernels (DESIGN.md
-  /// §9). step() applies the identical FP update as the scalar step() for
-  /// every pole; the constructor caps poles at 4, so fixed arrays suffice.
-  struct BlockKernel {
+  /// The cascade as plain data for the fused frame loop (DESIGN.md §9): one
+  /// decay factor and one pole value per stage. The loop applies step()'s FP
+  /// update per pole; the constructor caps poles at 4, so fixed arrays
+  /// suffice.
+  struct FrameState {
     std::array<double, 4> a{}, y{};
     int poles = 0;
-    double step(double x) {
-      for (int i = 0; i < poles; ++i) {
-        const std::size_t s = static_cast<std::size_t>(i);
-        y[s] = (a[s] <= 0.0) ? x : x + (y[s] - x) * a[s];
-        x = y[s];
-      }
-      return x;
-    }
   };
-  [[nodiscard]] BlockKernel begin_block(util::Seconds dt) const;
-  void commit_block(const BlockKernel& k);
+  [[nodiscard]] FrameState frame_state(util::Seconds dt) const;
+  void commit_frame(const FrameState& k);
 
   void reset(double value = 0.0);
   [[nodiscard]] double value() const;

@@ -34,40 +34,25 @@ int SigmaDeltaModulator::step(Volts input) {
   return prev_bit_;
 }
 
-SigmaDeltaModulator::BlockKernel SigmaDeltaModulator::begin_block() const {
-  return BlockKernel{spec_.full_scale.value(),
-                     1.0 - spec_.integrator_leak,
-                     spec_.integrator_saturation,
-                     s1_,
-                     s2_,
-                     static_cast<double>(prev_bit_),
-                     overloaded_,
-                     false};
+SigmaDeltaModulator::FrameState SigmaDeltaModulator::frame_state() const {
+  return FrameState{rng_.state(),
+                    spec_.dither_lsb,
+                    spec_.full_scale.value(),
+                    1.0 - spec_.integrator_leak,
+                    spec_.integrator_saturation,
+                    s1_,
+                    s2_,
+                    static_cast<double>(prev_bit_),
+                    overloaded_,
+                    false};
 }
 
-void SigmaDeltaModulator::commit_block(const BlockKernel& k) {
+void SigmaDeltaModulator::commit_frame(const FrameState& k) {
+  rng_.set_state(k.dither_stream);
   s1_ = k.s1;
   s2_ = k.s2;
   prev_bit_ = (k.fb >= 0.0) ? 1 : -1;
   overloaded_ = k.last_overload;
-}
-
-void SigmaDeltaModulator::fill_dither(std::span<double> out) {
-  DitherKernel k = begin_dither_block();
-  for (double& x : out) x = k.draw();
-  commit_dither_block(k);
-}
-
-bool SigmaDeltaModulator::process_block(std::span<const double> in_volts,
-                                        std::span<double> bits) {
-  if (bits.size() < in_volts.size())
-    throw std::invalid_argument("SigmaDeltaModulator: bit block too small");
-  const double dither = spec_.dither_lsb;
-  BlockKernel k = begin_block();
-  for (std::size_t i = 0; i < in_volts.size(); ++i)
-    bits[i] = k.step(in_volts[i], rng_.gaussian(0.0, dither));
-  commit_block(k);
-  return k.any_overload;
 }
 
 void SigmaDeltaModulator::reset() {

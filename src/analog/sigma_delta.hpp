@@ -6,10 +6,6 @@
 // quantiser, and a small dither injection to break idle tones.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
-#include <span>
-
 #include "state/rng_io.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -30,52 +26,20 @@ class SigmaDeltaModulator {
   /// One modulator clock: input in volts, output ±1 bitstream value.
   int step(util::Volts input);
 
-  /// Block execution: modulates in.size() samples (volts) into ±1.0 bits
-  /// ready for the CIC, keeping the loop state in registers across the block.
-  /// Bit-identical to in.size() step() calls (same dither draw per sample,
-  /// same FP order). Returns true if ANY sample in the block overloaded the
-  /// stable input range — the per-block latch the channel needs; overloaded()
-  /// afterwards reports the LAST sample, exactly as after scalar stepping.
-  bool process_block(std::span<const double> in_volts, std::span<double> bits);
-
-  /// Register-resident per-block state for fused frame kernels (DESIGN.md
-  /// §9). step() takes the sample's pre-drawn dither value (fill_dither) and
-  /// performs the identical FP operations, in the identical order, as the
-  /// scalar step(); it returns the ±1.0 bit.
-  struct BlockKernel {
-    double fs, leak, sat, s1, s2, fb;
+  /// The loop as plain data for the fused frame loop (DESIGN.md §9): the
+  /// dither stream, the per-frame constants step() derives (full scale,
+  /// leak factor, clip level) and the live integrators, feedback bit (±1.0)
+  /// and overload flags. The loop applies step()'s FP operations in step()'s
+  /// order and ORs every tick's overload into `any_overload`, the per-frame
+  /// latch the channel needs; `last_overload` is what overloaded() reports
+  /// after commit_frame(), exactly as after per-tick stepping.
+  struct FrameState {
+    util::Rng::State dither_stream;
+    double dither, fs, leak, sat, s1, s2, fb;
     bool last_overload, any_overload;
-    double step(double volts, double dither) {
-      double u = volts / fs;
-      last_overload = std::abs(u) > 0.9;
-      any_overload = any_overload || last_overload;
-      u = std::clamp(u, -1.0, 1.0);
-      u += dither;
-      s1 = leak * s1 + 0.5 * (u - fb);
-      s1 = std::clamp(s1, -sat, sat);
-      s2 = leak * s2 + 0.5 * (s1 - fb);
-      s2 = std::clamp(s2, -sat, sat);
-      fb = (s2 >= 0.0) ? 1.0 : -1.0;
-      return fb;
-    }
   };
-  [[nodiscard]] BlockKernel begin_block() const;
-  void commit_block(const BlockKernel& k);
-  /// Batched dither draws: exactly the values out.size() step() calls would
-  /// add, drawn in order from the modulator's own stream.
-  void fill_dither(std::span<double> out);
-
-  /// Draw kernel for fully fused frame loops: the dither stream as
-  /// register-resident state (DESIGN.md §9).
-  struct DitherKernel {
-    util::Rng rng;
-    double dither;
-    double draw() { return rng.gaussian(0.0, dither); }
-  };
-  [[nodiscard]] DitherKernel begin_dither_block() const {
-    return {rng_, spec_.dither_lsb};
-  }
-  void commit_dither_block(const DitherKernel& k) { rng_ = k.rng; }
+  [[nodiscard]] FrameState frame_state() const;
+  void commit_frame(const FrameState& k);
 
   void reset();
 

@@ -38,7 +38,10 @@ std::optional<double> CicDecimator::push(double x) {
   }
   if (++phase_ < decimation_) return std::nullopt;
   phase_ = 0;
+  return comb();
+}
 
+double CicDecimator::comb() {
   // Comb cascade at the output rate.
   std::uint64_t y = integrators_.back();
   for (auto& hist : comb_delays_) {
@@ -51,73 +54,18 @@ std::optional<double> CicDecimator::push(double x) {
          (raw_gain() * kInputScale);
 }
 
-std::size_t CicDecimator::push_block(std::span<const double> x,
-                                     std::span<double> out) {
-  // Hoist the cascade state into a fixed-size local so the inner loop runs on
-  // registers/L1 instead of chasing the heap vector every sample. order_ ≤ 8
-  // by construction.
-  std::uint64_t acc[8];
-  const std::size_t order = static_cast<std::size_t>(order_);
-  for (std::size_t j = 0; j < order; ++j) acc[j] = integrators_[j];
-  int phase = phase_;
-  std::size_t written = 0;
-  // Same divisor expression as push(): a reciprocal-multiply would round
-  // differently and break bit-identity with the scalar path.
-  const double denom = raw_gain() * kInputScale;
-
-  for (const double xi : x) {
-    std::uint64_t v = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(std::llround(xi * kInputScale)));
-    for (std::size_t j = 0; j < order; ++j) {
-      acc[j] += v;
-      v = acc[j];
-    }
-    if (++phase < decimation_) continue;
-    phase = 0;
-
-    std::uint64_t y = acc[order - 1];
-    for (auto& hist : comb_delays_) {
-      const std::uint64_t delayed = hist.front();
-      for (std::size_t i = 0; i + 1 < hist.size(); ++i) hist[i] = hist[i + 1];
-      hist.back() = y;
-      y -= delayed;
-    }
-    if (written >= out.size())
-      throw std::invalid_argument("CicDecimator: output block too small");
-    out[written++] = static_cast<double>(static_cast<std::int64_t>(y)) / denom;
-  }
-
-  for (std::size_t j = 0; j < order; ++j) integrators_[j] = acc[j];
-  phase_ = phase;
-  return written;
-}
-
-CicDecimator::BlockKernel CicDecimator::begin_block() const {
-  BlockKernel k{};
+CicDecimator::FrameState CicDecimator::frame_state() const {
+  FrameState k{};
   for (std::size_t j = 0; j < integrators_.size(); ++j)
     k.acc[j] = integrators_[j];
-  k.phase = phase_;
   k.order = order_;
-  k.decimation = decimation_;
   return k;
 }
 
-double CicDecimator::emit(const BlockKernel& k) {
-  std::uint64_t y = k.acc[static_cast<std::size_t>(k.order) - 1];
-  for (auto& hist : comb_delays_) {
-    const std::uint64_t delayed = hist.front();
-    for (std::size_t i = 0; i + 1 < hist.size(); ++i) hist[i] = hist[i + 1];
-    hist.back() = y;
-    y -= delayed;
-  }
-  return static_cast<double>(static_cast<std::int64_t>(y)) /
-         (raw_gain() * kInputScale);
-}
-
-void CicDecimator::commit_block(const BlockKernel& k) {
+double CicDecimator::commit_frame(const FrameState& k) {
   for (std::size_t j = 0; j < integrators_.size(); ++j)
     integrators_[j] = k.acc[j];
-  phase_ = k.phase;
+  return comb();
 }
 
 void CicDecimator::reset() {

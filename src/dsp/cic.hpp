@@ -16,7 +16,6 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "state/serial.hpp"
@@ -36,53 +35,26 @@ class CicDecimator {
   /// (R·M)^N so that a constant input maps to itself).
   std::optional<double> push(double x);
 
-  /// Block execution: pushes x.size() modulator-rate samples, appending every
-  /// decimated output produced (⌊(phase + x.size()) / R⌋ of them) to `out`.
-  /// Returns the number of outputs written. Bit-identical to x.size() push()
-  /// calls — the integer datapath is exact, and the block loop keeps the
-  /// integrator cascade in registers instead of re-walking the state vector
-  /// per sample. `out` must have room for the outputs the block produces.
-  std::size_t push_block(std::span<const double> x, std::span<double> out);
+  /// Input quantisation: Q31 over the nominal ±1 range.
+  static constexpr double kInputScale = 2147483648.0;  // 2^31
 
-  /// Register-resident per-block state for fused frame kernels (DESIGN.md
-  /// §9): the integrator cascade and phase, with the comb side left in the
-  /// object (it runs once per decimation frame, not once per sample).
-  /// push() integrates one sample and reports whether a decimated output is
-  /// due — the caller then calls emit() for the comb cascade and scaling.
-  /// The integer datapath is exact, so the kernel is trivially bit-identical
-  /// to the scalar push().
-  struct BlockKernel {
+  /// The integrator cascade as plain data for the fused frame loop
+  /// (DESIGN.md §9). A frame starts and ends on a decimation boundary, so
+  /// the phase is 0 at both ends and the one output is due on the frame's
+  /// last push. The loop integrates the quantised ±1 modulator bits with
+  /// push()'s exact wrap-around adds (±1.0 · 2^31 is exact and llround(-x) ==
+  /// -llround(x), so a bit quantises to one of two constants); the comb side
+  /// stays in the object.
+  struct FrameState {
     std::array<std::uint64_t, 8> acc;
-    int phase, order, decimation;
-    bool push(double x) {
-      return integrate(static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(std::llround(x * kInputScale))));
-    }
-    /// Integrates a ±1.0 modulator bit. Bit-identical to push(bit): ±1.0 ·
-    /// kInputScale is exact and llround(-x) == -llround(x), so the quantised
-    /// word is one of two constants — this hoists the llround libm call
-    /// (an out-of-line call per sample) out of fused frame loops.
-    bool push_bit(double bit) {
-      constexpr std::int64_t kQ = static_cast<std::int64_t>(kInputScale);
-      return integrate(static_cast<std::uint64_t>(bit >= 0.0 ? kQ : -kQ));
-    }
-
-   private:
-    bool integrate(std::uint64_t v) {
-      for (int j = 0; j < order; ++j) {
-        acc[static_cast<std::size_t>(j)] += v;
-        v = acc[static_cast<std::size_t>(j)];
-      }
-      if (++phase < decimation) return false;
-      phase = 0;
-      return true;
-    }
+    int order;
   };
-  [[nodiscard]] BlockKernel begin_block() const;
-  /// Runs the comb cascade on the kernel's newest integrator word and returns
-  /// the normalised decimated output. Call exactly when push() returns true.
-  double emit(const BlockKernel& k);
-  void commit_block(const BlockKernel& k);
+  /// Call on a decimation boundary only (the channel's frame alignment).
+  [[nodiscard]] FrameState frame_state() const;
+  /// Writes the advanced integrators back, runs the comb cascade on the
+  /// newest integrator word and returns the normalised decimated output —
+  /// push()'s tail for the frame's last sample.
+  double commit_frame(const FrameState& k);
 
   void reset();
 
@@ -122,8 +94,8 @@ class CicDecimator {
   }
 
  private:
-  /// Input quantisation: Q31 over the nominal ±1 range.
-  static constexpr double kInputScale = 2147483648.0;  // 2^31
+  /// The comb cascade and normalisation: the output side of push().
+  double comb();
 
   int order_;
   int decimation_;

@@ -129,9 +129,10 @@ struct CampaignSummary {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Bitwise XOR checksum over every node's full trace (same construction as
-/// bench_fleet) — equal checksums across thread counts are the determinism
-/// proof under injection.
+/// Bitwise XOR checksum over every node's full trace — the one fleet trace
+/// checksum behind every committed value (bench_fleet, fleetbench, the
+/// determinism and resume suites). Equal checksums across thread counts are
+/// the determinism proof, under injection too.
 [[nodiscard]] std::uint64_t fleet_trace_checksum(
     const fleet::FleetEngine& engine);
 

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "isif/frame_loop.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -85,27 +86,22 @@ std::optional<ChannelSample> InputChannel::tick(Volts differential_input,
   return make_sample(*decimated);
 }
 
-InputChannel::FrameKernels InputChannel::begin_frame(Kelvin ambient) {
+InputChannel::FrameState InputChannel::begin_frame(Kelvin ambient) const {
   if (frame_phase_ != 0)
     throw std::logic_error(
         "InputChannel: process_frame needs a frame-aligned channel "
         "(frame_phase() == 0); advance with tick() to the boundary first");
   const Seconds dt = tick_period();
-  return FrameKernels{amp_.begin_noise_block(), adc_.begin_dither_block(),
-                      amp_.begin_block(dt, ambient), lpf_.begin_block(dt),
-                      adc_.begin_block(), cic_.begin_block()};
+  return FrameState{amp_.frame_state(dt, ambient), lpf_.frame_state(dt),
+                    adc_.frame_state(), cic_.frame_state()};
 }
 
-ChannelSample InputChannel::commit_frame(const FrameKernels& k,
-                                         double decimated) {
-  amp_.commit_noise_block(k.noise);
-  adc_.commit_dither_block(k.dither);
-  amp_.commit_block(k.amp);
-  lpf_.commit_block(k.rc);
-  adc_.commit_block(k.adc);
-  cic_.commit_block(k.cic);
+ChannelSample InputChannel::commit_frame(const FrameState& k) {
+  amp_.commit_frame(k.amp);
+  lpf_.commit_frame(k.rc);
+  adc_.commit_frame(k.adc);
   overload_latch_ = overload_latch_ || k.adc.any_overload;
-  return make_sample(decimated);
+  return make_sample(cic_.commit_frame(k.cic));
 }
 
 ChannelSample InputChannel::process_frame(
@@ -113,28 +109,10 @@ ChannelSample InputChannel::process_frame(
   if (differential_volts.size() !=
       static_cast<std::size_t>(config_.decimation))
     throw std::logic_error("InputChannel: frame size must equal decimation");
-
-  FrameKernels k = begin_frame(ambient);
-  const std::size_t n = differential_volts.size();
-
-  // Fully fused sample-major loop: per sample the draws and stages run in
-  // exactly the order (and with exactly the FP operations) of tick() — white,
-  // flicker, amp, RC, dither, ΣΔ, CIC — but on register-resident kernel state
-  // with every loop-invariant hoisted and no per-stage staging buffers.
-  // Sample-major matters for throughput: the stage recurrences (amp pole, RC
-  // poles, ΣΔ integrators) overlap like a systolic pipeline instead of
-  // serialising stage by stage, and the noise draws hide under the recurrence
-  // latency.
-  double decimated = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double white = k.noise.white.draw();
-    const double flicker = k.noise.flicker.draw();
-    const double amplified = k.amp.step(differential_volts[i], white, flicker);
-    const double filtered = k.rc.step(amplified);
-    const double bit = k.adc.step(filtered, k.dither.draw());
-    if (k.cic.push_bit(bit)) decimated = emit_frame_output(k.cic);
-  }
-  return commit_frame(k, decimated);
+  FrameState k = begin_frame(ambient);
+  const double* volts = differential_volts.data();
+  run_frame_lanes<1, PolarNoise>(&k, &volts, config_.decimation);
+  return commit_frame(k);
 }
 
 Hertz InputChannel::output_rate() const {

@@ -68,12 +68,12 @@ class InputChannel {
   /// inputs given in volts — and returns the one decimated sample the frame
   /// produces. Bit-identical to `decimation` tick() calls (same noise/dither
   /// draw order per stream, same FP operation order in every stage, same
-  /// overload latching), but the whole chain — noise draws, amp, RC, ΣΔ, CIC
-  /// — runs as one fused loop on register-resident kernel state with every
-  /// per-block constant hoisted (DESIGN.md §9). Preconditions: inputs.size()
-  /// == decimation, and the channel is frame-aligned (a whole number of
-  /// frames ticked since construction or reset) — throws std::logic_error
-  /// otherwise. No allocation, no per-stage staging buffers.
+  /// overload latching): it is the W = 1 instance of the channel's one fused
+  /// frame loop (isif/frame_loop.hpp, DESIGN.md §9) with the polar generator
+  /// as its noise source. Preconditions: inputs.size() == decimation, and the
+  /// channel is frame-aligned (a whole number of frames ticked since
+  /// construction or reset) — throws std::logic_error otherwise. No
+  /// allocation.
   ChannelSample process_frame(std::span<const double> differential_volts,
                               util::Kelvin ambient = util::celsius(25.0));
 
@@ -81,35 +81,27 @@ class InputChannel {
   /// process_frame() may be called).
   [[nodiscard]] int frame_phase() const { return frame_phase_; }
 
-  /// Everything one decimation frame of this channel needs, as register-
-  /// resident kernel state outside the object: the two noise draw streams,
-  /// the dither stream, and the amp/RC/ΣΔ/CIC stage kernels. process_frame()
-  /// is begin_frame() + the fused loop + commit_frame(); the cross-sensor
-  /// SIMD layer (simd::ChannelBatch, DESIGN.md §13) uses the same pair to
-  /// gather N channels' state into structure-of-arrays lanes, run the fused
-  /// loop W sensors per instruction, and scatter the advanced state back.
-  struct FrameKernels {
-    analog::InstrumentAmp::NoiseKernel noise;
-    analog::SigmaDeltaModulator::DitherKernel dither;
-    analog::InstrumentAmp::BlockKernel amp;
-    analog::RcLowpass::BlockKernel rc;
-    analog::SigmaDeltaModulator::BlockKernel adc;
-    dsp::CicDecimator::BlockKernel cic;
+  /// Everything one decimation frame of this channel reads and advances, as
+  /// plain data outside the object: each stage's streams, per-frame
+  /// constants and live state. The fused frame loop runs on W of these at
+  /// once (W = 1 in process_frame, W lanes in simd::ChannelBatch, DESIGN.md
+  /// §13); begin_frame() and commit_frame() only copy state, so the chain's
+  /// arithmetic lives in the stage step() functions (the tick() oracle) and
+  /// the frame loop alone.
+  struct FrameState {
+    analog::InstrumentAmp::FrameState amp;
+    analog::RcLowpass::FrameState rc;
+    analog::SigmaDeltaModulator::FrameState adc;
+    dsp::CicDecimator::FrameState cic;
   };
-  /// Captures the frame kernels (hoisted per-block constants + live state).
   /// Requires frame alignment (frame_phase() == 0) — throws std::logic_error
   /// otherwise, exactly like process_frame.
-  [[nodiscard]] FrameKernels begin_frame(
-      util::Kelvin ambient = util::celsius(25.0));
-  /// Runs the comb cascade on the kernel's newest integrator word — call
-  /// exactly once per frame, when the CIC kernel reports an output due.
-  double emit_frame_output(const dsp::CicDecimator::BlockKernel& k) {
-    return cic_.emit(k);
-  }
-  /// Writes the advanced kernel state back and produces the frame's sample
-  /// (overload latch, fault handling, quantisation, telemetry) — the exact
-  /// tail of process_frame.
-  ChannelSample commit_frame(const FrameKernels& k, double decimated);
+  [[nodiscard]] FrameState begin_frame(
+      util::Kelvin ambient = util::celsius(25.0)) const;
+  /// Writes the advanced state back and produces the frame's sample (CIC
+  /// comb, overload latch, fault handling, quantisation, telemetry) — the
+  /// exact tail of process_frame.
+  ChannelSample commit_frame(const FrameState& k);
 
   void set_gain(double gain) { amp_.set_gain(gain); }
   [[nodiscard]] double gain() const { return amp_.gain(); }

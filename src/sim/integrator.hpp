@@ -30,18 +30,10 @@ class FirstOrderLag {
   double step(double target, util::Seconds dt);
 
   /// The per-step decay factor exp(−dt/τ) that step() applies for this dt
-  /// (0 when τ ≤ 0, i.e. the lag tracks instantly). Block execution hoists
-  /// this out of the per-sample loop: one exp per block instead of one per
-  /// sample, with the identical factor — so step_with_decay(t, decay(dt)) is
-  /// bit-identical to step(t, dt).
+  /// (0 when τ ≤ 0, i.e. the lag tracks instantly). The channel's fused frame
+  /// loop hoists it out of the per-tick loop: one exp per frame instead of
+  /// one per tick, with the identical factor.
   [[nodiscard]] double decay(util::Seconds dt) const;
-
-  /// One step using a precomputed decay factor (same FP operations as
-  /// step()). Inline: this is the innermost loop of the block path.
-  double step_with_decay(double target, double a) {
-    y_ = (a <= 0.0) ? target : target + (y_ - target) * a;
-    return y_;
-  }
 
   [[nodiscard]] double value() const { return y_; }
   void reset(double value) { y_ = value; }

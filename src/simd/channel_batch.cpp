@@ -1,10 +1,9 @@
 #include "simd/channel_batch.hpp"
 
-#include <cstdint>
 #include <stdexcept>
 
+#include "isif/frame_loop.hpp"
 #include "simd/gauss_lanes.hpp"
-#include "simd/lanes.hpp"
 
 namespace aqua::simd {
 
@@ -12,160 +11,28 @@ namespace {
 
 using isif::InputChannel;
 
-/// One lane group of W channels through one fused decimation frame. Per tick
-/// the stages run in exactly the scalar process_frame order — white draw,
-/// flicker draw, amp, RC, dither draw, ΣΔ, CIC — and each stage performs the
-/// element-wise operations of its scalar BlockKernel (same expression order,
-/// no contraction), so a lane's chain output for given noise values is
-/// 0-ULP identical to the scalar kernel's. Only the Voss-McCartney flicker
-/// chain (inherently sequential row updates) and the per-frame CIC comb run
-/// per-lane scalar.
+/// One lane group of W channels through one decimation frame: the channel's
+/// fused frame loop (isif/frame_loop.hpp) with the lane-parallel Box–Muller
+/// generator as its noise source, between each channel's begin_frame and
+/// commit_frame.
 template <int W>
 void process_group(const ChannelFrameInput* in, isif::ChannelSample* out) {
-  using L = Lanes<W>;
-  using vd = typename L::vd;
-  using vu = typename L::vu;
-
-  InputChannel::FrameKernels k[W];
-  for (int w = 0; w < W; ++w) k[w] = in[w].channel->begin_frame(in[w].ambient);
-
+  InputChannel::FrameState k[W]{};
+  const double* volts[W]{};
   const int decimation = in[0].channel->config().decimation;
-  const int poles = k[0].rc.poles;
-  const int order = k[0].cic.order;
   for (int w = 0; w < W; ++w) {
-    if (k[w].rc.poles != poles || k[w].cic.order != order ||
-        k[w].cic.decimation != decimation || k[w].cic.phase != 0)
+    k[w] = in[w].channel->begin_frame(in[w].ambient);
+    if (k[w].rc.poles != k[0].rc.poles || k[w].cic.order != k[0].cic.order ||
+        in[w].channel->config().decimation != decimation)
       throw std::invalid_argument(
           "ChannelBatch: channels in a batch must share decimation, RC pole "
-          "count and CIC order, and start frame-aligned");
+          "count and CIC order");
     if (in[w].differential_volts.size() != static_cast<std::size_t>(decimation))
       throw std::logic_error("ChannelBatch: frame size must equal decimation");
+    volts[w] = in[w].differential_volts.data();
   }
-
-  // ---- gather: SoA lanes from the W channels' frame kernels ---------------
-  util::Rng::State st_white[W], st_flick[W], st_dith[W];
-  for (int w = 0; w < W; ++w) {
-    st_white[w] = k[w].noise.white.rng.state();
-    st_flick[w] = k[w].noise.flicker.rng.state();
-    st_dith[w] = k[w].dither.rng.state();
-  }
-  auto g_white = detail::GaussLanes<W>::gather(st_white);
-  auto g_flick = detail::GaussLanes<W>::gather(st_flick);
-  auto g_dith = detail::GaussLanes<W>::gather(st_dith);
-
-  vd sigma_w{}, sigma_d{};
-  vd a_off{}, a_drift{}, a_gain{}, a_hr{}, a_a{}, a_y{};
-  vd r_a[4] = {}, r_y[4] = {};
-  vd s_fs{}, s_leak{}, s_sat{}, s_s1{}, s_s2{}, s_fb{};
-  vu s_lastov{}, s_anyov{};
-  vu c_acc[8] = {};
-  for (int w = 0; w < W; ++w) {
-    sigma_w[w] = k[w].noise.white.sigma;
-    sigma_d[w] = k[w].dither.dither;
-    a_off[w] = k[w].amp.offset;
-    a_drift[w] = k[w].amp.drift;
-    a_gain[w] = k[w].amp.gain;
-    a_hr[w] = k[w].amp.half_rail;
-    a_a[w] = k[w].amp.a;
-    a_y[w] = k[w].amp.y;
-    for (int p = 0; p < poles; ++p) {
-      r_a[p][w] = k[w].rc.a[static_cast<std::size_t>(p)];
-      r_y[p][w] = k[w].rc.y[static_cast<std::size_t>(p)];
-    }
-    s_fs[w] = k[w].adc.fs;
-    s_leak[w] = k[w].adc.leak;
-    s_sat[w] = k[w].adc.sat;
-    s_s1[w] = k[w].adc.s1;
-    s_s2[w] = k[w].adc.s2;
-    s_fb[w] = k[w].adc.fb;
-    s_lastov[w] = k[w].adc.last_overload ? ~0ull : 0ull;
-    s_anyov[w] = k[w].adc.any_overload ? ~0ull : 0ull;
-    for (int j = 0; j < order; ++j)
-      c_acc[j][w] = k[w].cic.acc[static_cast<std::size_t>(j)];
-  }
-  // Loop-invariant per-lane branch masks of the scalar kernels' (a <= 0)
-  // pole-bypass conditionals.
-  const vu amp_pole_off = (vu)(a_a <= 0.0);
-  vu rc_pole_off[4] = {};
-  for (int p = 0; p < poles; ++p) rc_pole_off[p] = (vu)(r_a[p] <= 0.0);
-  // ±1.0 modulator bits quantise to one of two exact Q31 constants
-  // (CicDecimator::BlockKernel::push_bit) — a sign-mask select per tick.
-  constexpr std::int64_t kQ = 2147483648ll;  // 2^31, the CIC input scale
-  const vu q_pos = L::splat_u(static_cast<std::uint64_t>(kQ));
-  const vu q_neg = L::splat_u(static_cast<std::uint64_t>(-kQ));
-
-  // ---- the fused frame loop, W sensors per instruction --------------------
-  for (int i = 0; i < decimation; ++i) {
-    const vd gw = g_white.draw();
-    const vd gf = g_flick.draw();
-    const vd white = L::splat(0.0) + sigma_w * gw;
-    vd flick{};
-    for (int w = 0; w < W; ++w)
-      flick[w] = k[w].noise.flicker.draw_with(gf[w]);
-    vd volts{};
-    for (int w = 0; w < W; ++w)
-      volts[w] = in[w].differential_volts[static_cast<std::size_t>(i)];
-
-    // InstrumentAmp::BlockKernel::step
-    const vd input = volts + a_off + a_drift + white + flick;
-    const vd target = a_gain * input;
-    a_y = L::select(amp_pole_off, target, target + (a_y - target) * a_a);
-    vd x = L::clamp(a_y, -a_hr, a_hr);
-
-    // RcLowpass::BlockKernel::step
-    for (int p = 0; p < poles; ++p) {
-      r_y[p] = L::select(rc_pole_off[p], x, x + (r_y[p] - x) * r_a[p]);
-      x = r_y[p];
-    }
-
-    // SigmaDeltaModulator::BlockKernel::step (1-bit quantiser = sign select)
-    const vd gd = g_dith.draw();
-    const vd dither = L::splat(0.0) + sigma_d * gd;
-    vd u = x / s_fs;
-    s_lastov = (vu)(L::vabs(u) > 0.9);
-    s_anyov |= s_lastov;
-    u = L::clamp(u, L::splat(-1.0), L::splat(1.0));
-    u = u + dither;
-    s_s1 = s_leak * s_s1 + 0.5 * (u - s_fb);
-    s_s1 = L::clamp(s_s1, -s_sat, s_sat);
-    s_s2 = s_leak * s_s2 + 0.5 * (s_s1 - s_fb);
-    s_s2 = L::clamp(s_s2, -s_sat, s_sat);
-    s_fb = L::select((vu)(s_s2 >= 0.0), L::splat(1.0), L::splat(-1.0));
-
-    // CicDecimator::BlockKernel::push_bit — exact u64 lane adds
-    vu v = L::select_u((vu)(s_fb >= 0.0), q_pos, q_neg);
-    for (int j = 0; j < order; ++j) {
-      c_acc[j] += v;
-      v = c_acc[j];
-    }
-  }
-  // The amp's `saturated` flag reflects the LAST sample only; recompute once.
-  const vu a_sat_last = (vu)(L::vabs(a_y) > a_hr);
-
-  // ---- scatter: lanes back into the kernels, commit per channel -----------
-  g_white.scatter(st_white);
-  g_flick.scatter(st_flick);
-  g_dith.scatter(st_dith);
-  for (int w = 0; w < W; ++w) {
-    k[w].noise.white.rng.set_state(st_white[w]);
-    k[w].noise.flicker.rng.set_state(st_flick[w]);
-    k[w].dither.rng.set_state(st_dith[w]);
-    k[w].amp.y = a_y[w];
-    k[w].amp.saturated = a_sat_last[w] != 0;
-    for (int p = 0; p < poles; ++p)
-      k[w].rc.y[static_cast<std::size_t>(p)] = r_y[p][w];
-    k[w].adc.s1 = s_s1[w];
-    k[w].adc.s2 = s_s2[w];
-    k[w].adc.fb = s_fb[w];
-    k[w].adc.last_overload = s_lastov[w] != 0;
-    k[w].adc.any_overload = s_anyov[w] != 0;
-    for (int j = 0; j < order; ++j)
-      k[w].cic.acc[static_cast<std::size_t>(j)] = c_acc[j][w];
-    k[w].cic.phase = 0;  // exactly `decimation` pushes: wrapped to 0
-    // Comb cascade + sample production exactly once per frame, per lane.
-    const double decimated = in[w].channel->emit_frame_output(k[w].cic);
-    out[w] = in[w].channel->commit_frame(k[w], decimated);
-  }
+  isif::run_frame_lanes<W, detail::GaussLanes<W>>(k, volts, decimation);
+  for (int w = 0; w < W; ++w) out[w] = in[w].channel->commit_frame(k[w]);
 }
 
 }  // namespace
@@ -199,86 +66,6 @@ void ChannelBatch::process_frames(std::span<const ChannelFrameInput> in,
       break;
   }
   for (; i < n; ++i) process_group<1>(&in[i], &out[i]);
-}
-
-namespace {
-
-template <int W>
-double sigma_delta_lanes_bench(int ticks) {
-  using L = Lanes<W>;
-  using vd = typename L::vd;
-  using vu = typename L::vu;
-  vd s1{}, s2{}, fb = L::splat(1.0);
-  const vd fs = L::splat(1.6), leak = L::splat(1.0), sat = L::splat(4.0);
-  vu anyov{};
-  vd x{};
-  for (int w = 0; w < W; ++w) x[w] = 0.1 * (w + 1);
-  for (int t = 0; t < ticks; ++t) {
-    vd u = x / fs;
-    anyov |= (vu)(L::vabs(u) > 0.9);
-    u = L::clamp(u, L::splat(-1.0), L::splat(1.0));
-    s1 = leak * s1 + 0.5 * (u - fb);
-    s1 = L::clamp(s1, -sat, sat);
-    s2 = leak * s2 + 0.5 * (s1 - fb);
-    s2 = L::clamp(s2, -sat, sat);
-    fb = L::select((vu)(s2 >= 0.0), L::splat(1.0), L::splat(-1.0));
-    x = -x;  // alternate the input so the quantiser keeps toggling
-  }
-  double sink = 0.0;
-  for (int w = 0; w < W; ++w) sink += s1[w] + s2[w] + fb[w];
-  return sink;
-}
-
-template <int W>
-double cic_lanes_bench(int ticks, int order) {
-  using L = Lanes<W>;
-  using vu = typename L::vu;
-  vu acc[8] = {};
-  constexpr std::int64_t kQ = 2147483648ll;
-  const vu q_pos = L::splat_u(static_cast<std::uint64_t>(kQ));
-  const vu q_neg = L::splat_u(static_cast<std::uint64_t>(-kQ));
-  vu bit = q_pos;
-  for (int t = 0; t < ticks; ++t) {
-    vu v = bit;
-    for (int j = 0; j < order; ++j) {
-      acc[j] += v;
-      v = acc[j];
-    }
-    bit = L::select_u((vu)(v >> 63 != 0), q_pos, q_neg);
-  }
-  double sink = 0.0;
-  for (int w = 0; w < W; ++w)
-    sink += static_cast<double>(static_cast<std::int64_t>(acc[order - 1][w]));
-  return sink;
-}
-
-}  // namespace
-
-double run_sigma_delta_lanes(int ticks, int width) {
-  const int w = width == 0 ? detail::kCompiledLaneWidth : width;
-  switch (w) {
-    case 1: return sigma_delta_lanes_bench<1>(ticks);
-    case 2: return sigma_delta_lanes_bench<2>(ticks);
-    case 4: return sigma_delta_lanes_bench<4>(ticks);
-    case 8: return sigma_delta_lanes_bench<8>(ticks);
-    default:
-      throw std::invalid_argument("run_sigma_delta_lanes: bad lane width");
-  }
-}
-
-double run_cic_lanes(int ticks, int order, int decimation, int width) {
-  (void)decimation;
-  if (order < 1 || order > 8)
-    throw std::invalid_argument("run_cic_lanes: order out of range");
-  const int w = width == 0 ? detail::kCompiledLaneWidth : width;
-  switch (w) {
-    case 1: return cic_lanes_bench<1>(ticks, order);
-    case 2: return cic_lanes_bench<2>(ticks, order);
-    case 4: return cic_lanes_bench<4>(ticks, order);
-    case 8: return cic_lanes_bench<8>(ticks, order);
-    default:
-      throw std::invalid_argument("run_cic_lanes: bad lane width");
-  }
 }
 
 }  // namespace aqua::simd

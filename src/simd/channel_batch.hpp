@@ -1,19 +1,21 @@
 // channel_batch.hpp — cross-sensor SIMD execution of the fused ISIF channel
-// frame (DESIGN.md §13). N channels' FrameKernels are gathered into
+// frame (DESIGN.md §13). N channels' frame states are gathered into
 // structure-of-arrays lanes — noise/dither RNG streams, amp pole, RC cascade,
 // ΣΔ integrators (1-bit quantiser as a sign-mask select), CIC integrator
-// words — and one fused loop steps W sensors per instruction through the
-// whole chain; the advanced state is scattered back through the channels'
-// commit_frame, so scalar execution can resume any channel afterwards.
+// words — and the channel's one fused frame loop (isif/frame_loop.hpp, the
+// same source InputChannel::process_frame runs at W = 1) steps W sensors per
+// instruction through the whole chain; the advanced state is scattered back
+// through the channels' commit_frame, so scalar execution can resume any
+// channel afterwards.
 //
 // Determinism: every lane is a pure function of its own channel's state (the
-// chain stages are element-wise identical to the scalar kernels; the batch
-// Gaussian generator is per-lane pure), so results are independent of lane
-// width, group boundaries and processing order — the batch path's committed
-// checksum reproduces at W = 1/2/4/8 and any thread count. The *noise values*
-// come from the branch-free Box-Muller generator, not the scalar polar
-// transform, so batch output intentionally differs from the scalar reference
-// (which stays the bit-identity baseline, DESIGN.md §9).
+// loop is element-wise IEEE arithmetic; the batch Gaussian generator is
+// per-lane pure), so results are independent of lane width, group boundaries
+// and processing order — the batch path's committed checksum reproduces at
+// W = 1/2/4/8 and any thread count. The *noise values* come from the
+// branch-free Box-Muller generator, not the scalar polar transform, so batch
+// output intentionally differs from the scalar reference (which stays the
+// bit-identity baseline, DESIGN.md §9).
 #pragma once
 
 #include <cstddef>
@@ -45,13 +47,5 @@ class ChannelBatch {
                              std::span<isif::ChannelSample> out,
                              int lane_width = 0);
 };
-
-/// Stage-isolation hooks for bench_micro_dsp: run `ticks` steps of just the
-/// ΣΔ quantiser loop / just the CIC integrator cascade across one lane group
-/// of `width` (0 = compiled width), returning a value-dependent sink so the
-/// loop cannot be optimised away. Inputs are synthetic but representative
-/// (±full-scale sinusoid-ish sweep / alternating bit pattern).
-double run_sigma_delta_lanes(int ticks, int width = 0);
-double run_cic_lanes(int ticks, int order, int decimation, int width = 0);
 
 }  // namespace aqua::simd

@@ -19,22 +19,19 @@ int resolve_width(int width) {
 }
 
 // Element-wise kernels are pure per lane, so a short tail can be processed at
-// W = 1 (or, for the function hooks, padded) without changing any value.
+// W = 1 without changing any value.
 template <int W>
 void vlog_groups(std::span<const double> x, std::span<double> out) {
   using L = Lanes<W>;
   std::size_t i = 0;
   for (; i + W <= x.size(); i += W) {
     typename L::vd v{};
-    for (int w = 0; w < W; ++w) v[w] = x[i + static_cast<std::size_t>(w)];
+    for (int w = 0; w < W; ++w) L::set(v, w, x[i + static_cast<std::size_t>(w)]);
     const typename L::vd r = detail::vlog<W>(v);
-    for (int w = 0; w < W; ++w) out[i + static_cast<std::size_t>(w)] = r[w];
+    for (int w = 0; w < W; ++w)
+      out[i + static_cast<std::size_t>(w)] = L::get(r, w);
   }
-  for (; i < x.size(); ++i) {
-    typename Lanes<1>::vd v{};
-    v[0] = x[i];
-    out[i] = detail::vlog<1>(v)[0];
-  }
+  for (; i < x.size(); ++i) out[i] = detail::vlog<1>(x[i]);
 }
 
 template <int W>
@@ -44,22 +41,15 @@ void vsincos_groups(std::span<const double> u, std::span<double> s,
   std::size_t i = 0;
   for (; i + W <= u.size(); i += W) {
     typename L::vd v{};
-    for (int w = 0; w < W; ++w) v[w] = u[i + static_cast<std::size_t>(w)];
+    for (int w = 0; w < W; ++w) L::set(v, w, u[i + static_cast<std::size_t>(w)]);
     typename L::vd sn, cs;
     detail::vsincos_2pi<W>(v, sn, cs);
     for (int w = 0; w < W; ++w) {
-      s[i + static_cast<std::size_t>(w)] = sn[w];
-      c[i + static_cast<std::size_t>(w)] = cs[w];
+      s[i + static_cast<std::size_t>(w)] = L::get(sn, w);
+      c[i + static_cast<std::size_t>(w)] = L::get(cs, w);
     }
   }
-  for (; i < u.size(); ++i) {
-    typename Lanes<1>::vd v{};
-    v[0] = u[i];
-    typename Lanes<1>::vd sn, cs;
-    detail::vsincos_2pi<1>(v, sn, cs);
-    s[i] = sn[0];
-    c[i] = cs[0];
-  }
+  for (; i < u.size(); ++i) detail::vsincos_2pi<1>(u[i], s[i], c[i]);
 }
 
 template <int W>
@@ -67,7 +57,7 @@ void draw_group(util::Rng::State* st, double* out) {
   auto lanes = detail::GaussLanes<W>::gather(st);
   const typename Lanes<W>::vd v = lanes.draw();
   lanes.scatter(st);
-  for (int w = 0; w < W; ++w) out[w] = v[w];
+  for (int w = 0; w < W; ++w) out[w] = Lanes<W>::get(v, w);
 }
 
 }  // namespace

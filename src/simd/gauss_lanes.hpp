@@ -31,13 +31,13 @@ inline typename Lanes<W>::vd vlog(typename Lanes<W>::vd x) {
   using vd = typename L::vd;
   using vu = typename L::vu;
   using vi = typename L::vi;
-  const vu bits = (vu)x;
+  const vu bits = L::bits(x);
   // Offset so the exponent field splits at √0.5 (musl-style reduction).
   const vu tmp = bits - L::splat_u(0x3fe6a09e667f3bcdull);
   const vi e = (vi)tmp >> 52;  // arithmetic shift: signed unbiased exponent
   const vu mbits = bits - (tmp & L::splat_u(0xfffull << 52));
-  const vd m = (vd)mbits;
-  const vd ef = __builtin_convertvector(e, vd);
+  const vd m = L::from_bits(mbits);
+  const vd ef = L::to_double(e);
   const vd z = (m - 1.0) / (m + 1.0);
   const vd z2 = z * z;
   vd p = L::splat(2.0 / 19.0);
@@ -70,7 +70,7 @@ inline void vsincos_2pi(typename Lanes<W>::vd u, typename Lanes<W>::vd& s_out,
   using vi = typename L::vi;
   const vd magic = L::splat(0x1.8p52);
   const vd kf = (4.0 * u + magic) - magic;
-  const vi k = __builtin_convertvector(kf, vi);
+  const vi k = L::to_int(kf);
   const vd r = u - kf * 0.25;  // exact: kf/4 is representable, |r| ≤ u's ulp scale
   const vd t = r * 6.283185307179586476925286766559;
   const vd t2 = t * t;
@@ -92,14 +92,14 @@ inline void vsincos_2pi(typename Lanes<W>::vd u, typename Lanes<W>::vd& s_out,
   const vd cs = 1.0 - t2 * q;
   // Quadrant fixup. k mod 4: 0 → (s, c); 1 → (c, −s); 2 → (−s, −c);
   // 3 → (−c, s). Swap on odd k; sin negated for k ∈ {2, 3}, cos for {1, 2}.
-  const vu odd = (vu)((k & 1) != 0);
+  const vu odd = L::nonzero(k & 1);
   const vd s_sw = L::select(odd, cs, sn);
   const vd c_sw = L::select(odd, sn, cs);
   const vu sign = L::splat_u(0x8000000000000000ull);
-  const vu neg_s = (vu)((k & 2) != 0) & sign;
-  const vu neg_c = (vu)(((k + 1) & 2) != 0) & sign;
-  s_out = (vd)((vu)s_sw ^ neg_s);
-  c_out = (vd)((vu)c_sw ^ neg_c);
+  const vu neg_s = L::nonzero(k & 2) & sign;
+  const vu neg_c = L::nonzero((k + 1) & 2) & sign;
+  s_out = L::from_bits(L::bits(s_sw) ^ neg_s);
+  c_out = L::from_bits(L::bits(c_sw) ^ neg_c);
 }
 
 /// W parallel standard-normal streams, one xoshiro256++ generator per lane,
@@ -126,21 +126,21 @@ struct GaussLanes {
   static GaussLanes gather(const util::Rng::State* st) {
     GaussLanes g{};
     for (int w = 0; w < W; ++w) {
-      g.s0[w] = st[w].s[0];
-      g.s1[w] = st[w].s[1];
-      g.s2[w] = st[w].s[2];
-      g.s3[w] = st[w].s[3];
-      g.spare[w] = st[w].spare;
-      g.has_spare[w] = st[w].has_spare ? ~0ull : 0ull;
+      L::set(g.s0, w, st[w].s[0]);
+      L::set(g.s1, w, st[w].s[1]);
+      L::set(g.s2, w, st[w].s[2]);
+      L::set(g.s3, w, st[w].s[3]);
+      L::set(g.spare, w, st[w].spare);
+      L::set(g.has_spare, w, st[w].has_spare ? ~0ull : 0ull);
     }
     return g;
   }
 
   void scatter(util::Rng::State* st) const {
     for (int w = 0; w < W; ++w) {
-      st[w].s = {s0[w], s1[w], s2[w], s3[w]};
-      st[w].spare = spare[w];
-      st[w].has_spare = has_spare[w] != 0;
+      st[w].s = {L::get(s0, w), L::get(s1, w), L::get(s2, w), L::get(s3, w)};
+      st[w].spare = L::get(spare, w);
+      st[w].has_spare = L::get(has_spare, w) != 0;
     }
   }
 
@@ -168,8 +168,8 @@ struct GaussLanes {
     GaussLanes c = *this;
     const vu b1 = c.next();
     const vu b2 = c.next();
-    const vd u1 = __builtin_convertvector(b1 >> 11, vd) * 0x1.0p-53;
-    const vd u2 = __builtin_convertvector(b2 >> 11, vd) * 0x1.0p-53;
+    const vd u1 = L::to_double(b1 >> 11) * 0x1.0p-53;
+    const vd u2 = L::to_double(b2 >> 11) * 0x1.0p-53;
     // 1 − u₁ ∈ (2⁻⁵³, 1]: log finite, r = 0 only when u₁ = 0 exactly.
     const vd r = L::vsqrt(-2.0 * vlog<W>(1.0 - u1));
     vd sn, cs;

@@ -1,111 +1,12 @@
-// lanes.hpp — lane-width-generic SIMD pack abstraction (DESIGN.md §13). One
-// template over the GNU vector extensions gives the same source for SSE2
-// (W = 2), AVX2 (W = 4), AVX-512 (W = 8), NEON (W = 2) and a portable
-// single-lane build (W = 1, one-element vectors): the compiler lowers the
-// generic operators to whatever the translation unit's -march allows, and
-// every operation used here is element-wise IEEE-754 double arithmetic or
-// exact integer/bit manipulation — so a lane computes the identical bits at
-// every width, the property the lane-count-invariant determinism checksum
-// rests on. No FMA contraction may be introduced (the SIMD objects build with
-// -ffp-contract=off); keep vector-typed values out of cross-TU signatures
-// (the public simd API is scalar spans) so the vector ABI never leaks.
+// lanes.hpp — the SIMD layer's view of the lane packs (util/lanes.hpp) plus
+// the lane width the SIMD objects were compiled for.
 #pragma once
 
-#include <cstdint>
+#include "util/lanes.hpp"
 
 namespace aqua::simd {
 
-namespace detail {
-
-// The vector_size argument must be a literal at class-template parse time
-// (GCC defers dependent attribute arguments and falls back to the scalar base
-// type otherwise), so the widths are enumerated as full specializations.
-template <int W>
-struct VecTypes;
-template <>
-struct VecTypes<1> {
-  typedef double vd __attribute__((vector_size(8)));
-  typedef std::uint64_t vu __attribute__((vector_size(8)));
-  typedef std::int64_t vi __attribute__((vector_size(8)));
-};
-template <>
-struct VecTypes<2> {
-  typedef double vd __attribute__((vector_size(16)));
-  typedef std::uint64_t vu __attribute__((vector_size(16)));
-  typedef std::int64_t vi __attribute__((vector_size(16)));
-};
-template <>
-struct VecTypes<4> {
-  typedef double vd __attribute__((vector_size(32)));
-  typedef std::uint64_t vu __attribute__((vector_size(32)));
-  typedef std::int64_t vi __attribute__((vector_size(32)));
-};
-template <>
-struct VecTypes<8> {
-  typedef double vd __attribute__((vector_size(64)));
-  typedef std::uint64_t vu __attribute__((vector_size(64)));
-  typedef std::int64_t vi __attribute__((vector_size(64)));
-};
-
-}  // namespace detail
-
-template <int W>
-struct Lanes {
-  static_assert(W == 1 || W == 2 || W == 4 || W == 8,
-                "lane width must be 1, 2, 4 or 8 doubles");
-  static constexpr int kWidth = W;
-
-  using vd = typename detail::VecTypes<W>::vd;
-  using vu = typename detail::VecTypes<W>::vu;
-  using vi = typename detail::VecTypes<W>::vi;
-
-  /// Broadcast a scalar into every lane. An explicit per-lane store (not the
-  /// `vd{} + x` idiom: 0.0 + (−0.0) is +0.0, which would lose the sign of a
-  /// negative-zero broadcast); the compiler lowers it to a single broadcast.
-  static vd splat(double x) {
-    vd r{};
-    for (int w = 0; w < W; ++w) r[w] = x;
-    return r;
-  }
-  static vu splat_u(std::uint64_t x) {
-    vu r{};
-    for (int w = 0; w < W; ++w) r[w] = x;
-    return r;
-  }
-
-  /// Per-lane select: mask lanes are all-ones (pick a) or all-zeros (pick b),
-  /// exactly what vector comparisons produce.
-  static vd select(vu mask, vd a, vd b) {
-    return (vd)((mask & (vu)a) | (~mask & (vu)b));
-  }
-  static vu select_u(vu mask, vu a, vu b) { return (mask & a) | (~mask & b); }
-
-  /// |x| by clearing the sign bit — the bit-exact vector form of std::abs.
-  static vd vabs(vd x) { return (vd)((vu)x & splat_u(0x7fffffffffffffffull)); }
-
-  /// std::clamp(x, lo, hi) lane-wise with the same comparison order (and the
-  /// same −0.0 pass-through) as the scalar kernels it mirrors.
-  static vd clamp(vd x, vd lo, vd hi) {
-    vd r = select((vu)(x < lo), lo, x);
-    return select((vu)(hi < r), hi, r);
-  }
-
-  /// Element-wise sqrt; -fno-math-errno lets this lower to the vector sqrt
-  /// instruction (IEEE-correctly-rounded at every width).
-  static vd vsqrt(vd x) {
-    vd r = x;
-    for (int w = 0; w < W; ++w) r[w] = __builtin_sqrt(x[w]);
-    return r;
-  }
-
-  static vu rotl(vu x, int k) { return (x << k) | (x >> (64 - k)); }
-
-  static bool all_lanes(vu mask) {
-    bool all = true;
-    for (int w = 0; w < W; ++w) all = all && mask[w] != 0;
-    return all;
-  }
-};
+using util::Lanes;
 
 /// The lane width (doubles per vector) the SIMD objects were compiled to use:
 /// 8 on AVX-512, 4 on AVX2, 2 on SSE2/NEON, 1 otherwise or when the build

@@ -107,6 +107,7 @@ class Rng {
     double spare = 0.0;
     bool has_spare = false;
   };
+  explicit Rng(const State& state) { set_state(state); }
   [[nodiscard]] State state() const { return State{s_, spare_, has_spare_}; }
   void set_state(const State& state) {
     s_ = state.s;

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <span>
-#include <vector>
 
 namespace aqua::analog {
 namespace {
@@ -94,38 +92,6 @@ TEST(InstrumentAmp, OffsetDriftWithAmbient) {
   for (int i = 0; i < 5000; ++i)
     y_hot = amp.step(volts(0.0), Seconds{1e-6}, util::celsius(35.0));
   EXPECT_NEAR(y_hot - y_cold, 16.0 * 1e-3 * 10.0, 1e-3);
-}
-
-TEST(InstrumentAmp, ProcessBlockBitIdenticalToStep) {
-  // Full-noise spec: the block path must consume the white and flicker
-  // streams in exactly the scalar interleaving order.
-  InstrumentAmpSpec s;  // defaults: noise + flicker + offset all live
-  InstrumentAmp scalar{s, hertz(256e3), Rng{21}};
-  InstrumentAmp block{s, hertz(256e3), Rng{21}};
-  const Seconds dt{1.0 / 256e3};
-  std::vector<double> in(3 * 128), expect(in.size()), got(in.size());
-  for (size_t i = 0; i < in.size(); ++i)
-    in[i] = 5e-3 * std::sin(0.013 * static_cast<double>(i));
-  for (size_t i = 0; i < in.size(); ++i)
-    expect[i] = scalar.step(volts(in[i]), dt);
-  for (int f = 0; f < 3; ++f)
-    block.process_block(std::span<const double>{in}.subspan(128u * f, 128),
-                        std::span<double>{got}.subspan(128u * f, 128), dt);
-  for (size_t i = 0; i < in.size(); ++i)
-    EXPECT_EQ(expect[i], got[i]) << "sample " << i;
-  EXPECT_EQ(scalar.saturated(), block.saturated());
-}
-
-TEST(InstrumentAmp, BlockKernelCarriesSaturationState) {
-  InstrumentAmp scalar{quiet_spec(), hertz(1e6), Rng{1}};
-  InstrumentAmp block{quiet_spec(), hertz(1e6), Rng{1}};
-  const Seconds dt{1e-6};
-  std::vector<double> in(256, 1.0);  // 1 V · gain 16 slams the 1.65 V rail
-  std::vector<double> out(in.size());
-  for (double x : in) (void)scalar.step(volts(x), dt);
-  block.process_block(in, out, dt);
-  EXPECT_TRUE(block.saturated());
-  EXPECT_EQ(scalar.saturated(), block.saturated());
 }
 
 TEST(InstrumentAmp, RejectsBadGainSpec) {

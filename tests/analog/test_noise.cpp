@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <span>
 #include <vector>
 
 namespace aqua::analog {
@@ -68,44 +67,21 @@ TEST(FlickerNoise, Validation) {
                std::invalid_argument);
 }
 
-TEST(WhiteNoise, FillBitIdenticalToSampleSequence) {
-  WhiteNoise scalar{50e-9, hertz(256e3), Rng{11}};
-  WhiteNoise block{50e-9, hertz(256e3), Rng{11}};
-  std::vector<double> expect(300), got(300);
-  for (double& x : expect) x = scalar.sample();
-  // Uneven chunks so block boundaries land mid-stream.
-  block.fill(std::span<double>{got}.subspan(0, 77));
-  block.fill(std::span<double>{got}.subspan(77, 128));
-  block.fill(std::span<double>{got}.subspan(205));
-  for (size_t i = 0; i < expect.size(); ++i)
-    EXPECT_EQ(expect[i], got[i]) << "draw " << i;
-  // Streams stay aligned afterwards.
-  EXPECT_EQ(scalar.sample(), [&] { double x; block.fill({&x, 1}); return x; }());
-}
-
-TEST(FlickerNoise, FillBitIdenticalToSampleSequence) {
-  FlickerNoise scalar{1e-6, hertz(1.0), hertz(256e3), Rng{12}};
-  FlickerNoise block{1e-6, hertz(1.0), hertz(256e3), Rng{12}};
-  std::vector<double> expect(300), got(300);
-  for (double& x : expect) x = scalar.sample();
-  block.fill(std::span<double>{got}.subspan(0, 33));
-  block.fill(std::span<double>{got}.subspan(33, 128));
-  block.fill(std::span<double>{got}.subspan(161));
-  for (size_t i = 0; i < expect.size(); ++i)
-    EXPECT_EQ(expect[i], got[i]) << "draw " << i;
-}
-
 TEST(FlickerNoise, KernelSuffixCacheMatchesFullChain) {
-  // The block kernel reuses suffix partial sums of the row chain; every
+  // The frame state reuses suffix partial sums of the row chain; every
   // cached partial must be numerically identical to re-summing the chain, so
-  // interleaving kernel draws with scalar draws stays aligned.
+  // interleaving frame draws with scalar draws stays aligned.
   FlickerNoise a{1e-6, hertz(1.0), hertz(256e3), Rng{13}};
   FlickerNoise b{1e-6, hertz(1.0), hertz(256e3), Rng{13}};
   for (int round = 0; round < 5; ++round) {
-    auto k = b.begin_block();
-    for (int i = 0; i < 37; ++i) EXPECT_EQ(a.sample(), k.draw());
-    b.commit_block(k);
+    auto k = b.frame_state();
+    Rng rows{k.stream};
+    for (int i = 0; i < 37; ++i)
+      EXPECT_EQ(a.sample(), k.draw_with(rows.gaussian()));
+    k.stream = rows.state();
+    b.commit_frame(k);
   }
+  EXPECT_EQ(a.sample(), b.sample());
 }
 
 TEST(ThermalNoise, JohnsonFormula) {

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <span>
-#include <vector>
 
 namespace aqua::analog {
 namespace {
@@ -60,39 +58,6 @@ TEST(RcLowpass, ResetPresets) {
   f.reset(3.0);
   EXPECT_DOUBLE_EQ(f.value(), 3.0);
   EXPECT_NEAR(f.step(3.0, Seconds{1e-3}), 3.0, 1e-12);
-}
-
-TEST(RcLowpass, ProcessBlockBitIdenticalToStep) {
-  RcLowpass scalar{hertz(20e3), 2};
-  RcLowpass block{hertz(20e3), 2};
-  const Seconds dt{1.0 / 256e3};
-  std::vector<double> x(3 * 128), expect(x.size());
-  for (size_t i = 0; i < x.size(); ++i)
-    x[i] = std::sin(0.05 * static_cast<double>(i)) +
-           0.3 * std::sin(0.7 * static_cast<double>(i));
-  for (size_t i = 0; i < x.size(); ++i) expect[i] = scalar.step(x[i], dt);
-  std::vector<double> got = x;
-  for (int f = 0; f < 3; ++f)
-    block.process_block(std::span<double>{got}.subspan(128u * f, 128), dt);
-  for (size_t i = 0; i < x.size(); ++i)
-    EXPECT_EQ(expect[i], got[i]) << "sample " << i;
-  EXPECT_EQ(scalar.value(), block.value());
-}
-
-TEST(RcLowpass, BlockKernelBitIdenticalToStepAllPoleCounts) {
-  for (int poles = 1; poles <= 4; ++poles) {
-    RcLowpass scalar{hertz(5e3), poles};
-    RcLowpass block{hertz(5e3), poles};
-    const Seconds dt{1e-6};
-    auto k = block.begin_block(dt);
-    for (int i = 0; i < 200; ++i) {
-      const double x = std::cos(0.11 * i);
-      EXPECT_EQ(scalar.step(x, dt), k.step(x)) << "poles " << poles
-                                               << " sample " << i;
-    }
-    block.commit_block(k);
-    EXPECT_EQ(scalar.value(), block.value()) << "poles " << poles;
-  }
 }
 
 TEST(RcLowpass, Validation) {

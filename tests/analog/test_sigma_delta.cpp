@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <span>
-#include <vector>
 
 #include "dsp/cic.hpp"
 
@@ -105,55 +103,6 @@ TEST(SigmaDelta, IntegratorLeakDegradesDcAccuracySlightly) {
   const double decoded = acc / (n - 20) * 1.6;
   // Still close, but leak should not break it.
   EXPECT_NEAR(decoded, 0.4, 0.02);
-}
-
-TEST(SigmaDelta, ProcessBlockBitIdenticalToStep) {
-  SigmaDeltaModulator scalar{{}, Rng{31}};
-  SigmaDeltaModulator block{{}, Rng{31}};
-  std::vector<double> in(3 * 128), bits(128);
-  for (size_t i = 0; i < in.size(); ++i)
-    in[i] = 0.4 * std::sin(0.021 * static_cast<double>(i));
-  for (int f = 0; f < 3; ++f) {
-    const auto chunk = std::span<const double>{in}.subspan(128u * f, 128);
-    const bool any = block.process_block(chunk, bits);
-    bool scalar_any = false;
-    for (size_t i = 0; i < chunk.size(); ++i) {
-      const int b = scalar.step(volts(chunk[i]));
-      scalar_any = scalar_any || scalar.overloaded();
-      EXPECT_EQ(static_cast<double>(b), bits[i])
-          << "frame " << f << " sample " << i;
-    }
-    EXPECT_EQ(scalar_any, any) << "frame " << f;
-    EXPECT_EQ(scalar.overloaded(), block.overloaded()) << "frame " << f;
-  }
-}
-
-TEST(SigmaDelta, BlockOverloadLatchVsLastSample) {
-  // A block whose middle sample overloads but whose last sample is fine:
-  // process_block() returns true (the per-block latch), overloaded() reports
-  // the last sample — matching the scalar semantics exactly.
-  SigmaDeltaModulator sd{{}, Rng{32}};
-  std::vector<double> in(16, 0.1), bits(16);
-  in[7] = 1.58;  // ≈ 0.99 FS
-  EXPECT_TRUE(sd.process_block(in, bits));
-  EXPECT_FALSE(sd.overloaded());
-}
-
-TEST(SigmaDelta, FillDitherBitIdenticalToStepDraws) {
-  // fill_dither() must hand a fused loop exactly the dither values the scalar
-  // step() would draw, leaving the stream at the same position.
-  SigmaDeltaSpec spec{};
-  SigmaDeltaModulator a{spec, Rng{33}};
-  SigmaDeltaModulator b{spec, Rng{33}};
-  std::vector<double> dither(64);
-  b.fill_dither(dither);
-  std::vector<double> bits(64);
-  for (size_t i = 0; i < dither.size(); ++i) {
-    auto k = b.begin_block();
-    bits[i] = k.step(0.2, dither[i]);
-    b.commit_block(k);
-    EXPECT_EQ(static_cast<double>(a.step(volts(0.2))), bits[i]) << i;
-  }
 }
 
 TEST(SigmaDelta, Validation) {

@@ -4,8 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
-#include <vector>
 
 namespace aqua::dsp {
 namespace {
@@ -141,57 +139,6 @@ TEST(Cic, ResetMidFrameDiscardsPartialAccumulation) {
   for (int i = 0; i < 8 * 4; ++i) {
     const auto a = cic.push(-0.25);
     const auto b = fresh.push(-0.25);
-    ASSERT_EQ(a.has_value(), b.has_value()) << i;
-    if (a) {
-      EXPECT_EQ(*a, *b) << i;
-    }
-  }
-}
-
-TEST(Cic, PushBlockBitIdenticalToPush) {
-  CicDecimator scalar{3, 16};
-  CicDecimator block{3, 16};
-  std::vector<double> x(16 * 12 + 7);  // deliberately not frame-aligned
-  for (size_t i = 0; i < x.size(); ++i)
-    x[i] = std::sin(0.2 * static_cast<double>(i));
-  std::vector<double> expect;
-  for (double v : x)
-    if (auto y = scalar.push(v)) expect.push_back(*y);
-  std::vector<double> got(expect.size() + 4);
-  size_t n = 0;
-  // Odd chunk sizes so block boundaries straddle decimation frames.
-  for (size_t at = 0; at < x.size();) {
-    const size_t len = std::min<size_t>(13, x.size() - at);
-    n += block.push_block(std::span<const double>{x}.subspan(at, len),
-                          std::span<double>{got}.subspan(n));
-    at += len;
-  }
-  ASSERT_EQ(n, expect.size());
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(expect[i], got[i]) << i;
-  }
-}
-
-TEST(Cic, KernelPushBitBitIdenticalToPush) {
-  // push_bit() hoists the llround out of the fused loop for exact ±1.0
-  // inputs; the integer words it integrates must match push(±1.0) exactly.
-  CicDecimator scalar{3, 32};
-  CicDecimator block{3, 32};
-  auto k = block.begin_block();
-  for (int i = 0; i < 32 * 6; ++i) {
-    const double bit = ((i * 7) % 3 == 0) ? 1.0 : -1.0;
-    const auto y = scalar.push(bit);
-    const bool due = k.push_bit(bit);
-    ASSERT_EQ(y.has_value(), due) << i;
-    if (due) {
-      EXPECT_EQ(*y, block.emit(k)) << i;
-    }
-  }
-  block.commit_block(k);
-  // Both sides agree on the next full frame too.
-  for (int i = 0; i < 32; ++i) {
-    const auto a = scalar.push(1.0);
-    const auto b = block.push(1.0);
     ASSERT_EQ(a.has_value(), b.has_value()) << i;
     if (a) {
       EXPECT_EQ(*a, *b) << i;

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "core/rig.hpp"
+#include "fault/campaign.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/shard.hpp"
 #include "obs/metrics.hpp"
@@ -167,17 +168,6 @@ FleetConfig make_config() {
   return cfg;
 }
 
-std::uint64_t trace_checksum(const FleetEngine& engine) {
-  std::uint64_t checksum = 0;
-  for (std::size_t i = 0; i < engine.size(); ++i)
-    for (const TraceSample& s : engine.node(i).trace()) {
-      checksum ^= std::bit_cast<std::uint64_t>(s.bridge_voltage);
-      checksum ^= std::bit_cast<std::uint64_t>(s.estimate_mps) * 0x9E37u;
-      checksum ^= std::bit_cast<std::uint64_t>(s.true_mean_mps) * 0x85EBu;
-    }
-  return checksum;
-}
-
 void expect_traces_equal(const FleetEngine& a, const FleetEngine& b,
                          const char* label) {
   ASSERT_EQ(a.size(), b.size()) << label;
@@ -220,7 +210,7 @@ std::uint64_t run_skewed(unsigned threads, std::size_t replicas,
     for (std::size_t i = 0; i < engine.size(); ++i)
       *sample_count += engine.node(i).trace().size();
   }
-  return trace_checksum(engine);
+  return fault::fleet_trace_checksum(engine);
 }
 
 TEST(FleetScaling, ThousandSensorsBitIdenticalAcrossThreadCounts) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/rig.hpp"
+#include "fault/campaign.hpp"
 #include "fleet/fleet.hpp"
 #include "util/thread_pool.hpp"
 
@@ -66,17 +67,6 @@ FleetConfig make_config(ChannelExecution execution, int lane_width) {
   return cfg;
 }
 
-std::uint64_t trace_checksum(const FleetEngine& engine) {
-  std::uint64_t checksum = 0;
-  for (std::size_t i = 0; i < engine.size(); ++i)
-    for (const TraceSample& s : engine.node(i).trace()) {
-      checksum ^= std::bit_cast<std::uint64_t>(s.bridge_voltage);
-      checksum ^= std::bit_cast<std::uint64_t>(s.estimate_mps) * 0x9E37u;
-      checksum ^= std::bit_cast<std::uint64_t>(s.true_mean_mps) * 0x85EBu;
-    }
-  return checksum;
-}
-
 std::uint64_t run_checksum(ChannelExecution execution, int lane_width,
                            unsigned threads) {
   District d = make_district();
@@ -87,7 +77,7 @@ std::uint64_t run_checksum(ChannelExecution execution, int lane_width,
   if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
   engine.commission(Seconds{0.2}, pool.get());
   engine.run(Seconds{0.75}, pool.get());
-  return trace_checksum(engine);
+  return fault::fleet_trace_checksum(engine);
 }
 
 /// The batch path's committed determinism checksum for this scenario — the
@@ -96,6 +86,11 @@ std::uint64_t run_checksum(ChannelExecution execution, int lane_width,
 /// thread count must reproduce it; an update to this constant is a semantic
 /// change to the batch chain and needs DESIGN.md §13's justification.
 constexpr std::uint64_t kBatchChecksum = 0x8370b0dd7181b5c1ull;
+
+/// The scalar path's checksum for the same scenario (ChannelExecution::
+/// kScalar, serial): InputChannel::process_frame with the polar generator.
+/// The scalar chain is the bit-identity reference, so this must never move.
+constexpr std::uint64_t kScalarChecksum = 0x3a400c370779efffull;
 
 TEST(FleetBatch, ChecksumInvariantAcrossLaneWidthsAndThreads) {
   const std::uint64_t reference =
@@ -111,7 +106,7 @@ TEST(FleetBatch, ChecksumInvariantAcrossLaneWidthsAndThreads) {
               reference)
         << threads << " threads";
   }
-  if (kBatchChecksum != 0x0ull) EXPECT_EQ(reference, kBatchChecksum);
+  EXPECT_EQ(reference, kBatchChecksum);
 }
 
 TEST(FleetBatch, BatchAndScalarModesIntentionallyDiverge) {
@@ -122,6 +117,7 @@ TEST(FleetBatch, BatchAndScalarModesIntentionallyDiverge) {
   // tests keep proving).
   const std::uint64_t scalar = run_checksum(ChannelExecution::kScalar, 0, 0);
   const std::uint64_t batch = run_checksum(ChannelExecution::kSimdBatch, 0, 0);
+  EXPECT_EQ(scalar, kScalarChecksum);
   EXPECT_NE(scalar, batch);
 }
 

@@ -79,24 +79,13 @@ FleetConfig make_config(ChannelExecution execution) {
   return cfg;
 }
 
-std::uint64_t trace_checksum(const FleetEngine& engine) {
-  std::uint64_t c = 0;
-  for (std::size_t i = 0; i < engine.size(); ++i)
-    for (const fleet::TraceSample& s : engine.node(i).trace()) {
-      c ^= std::bit_cast<std::uint64_t>(s.bridge_voltage);
-      c ^= std::bit_cast<std::uint64_t>(s.estimate_mps) * 0x9E37u;
-      c ^= std::bit_cast<std::uint64_t>(s.true_mean_mps) * 0x85EBu;
-    }
-  return c;
-}
-
 std::uint64_t uninterrupted_checksum(ChannelExecution execution) {
   District d = make_district();
   FleetEngine engine(d.net, d.placements, make_config(execution));
   engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
   engine.commission(Seconds{0.2});
   engine.run(Seconds{0.75});
-  return trace_checksum(engine);
+  return fault::fleet_trace_checksum(engine);
 }
 
 /// Commissions an engine, steps `kill_after` of the 3 epochs, checkpoints,
@@ -120,7 +109,7 @@ std::uint64_t resumed_checksum(ChannelExecution execution, int kill_after,
   FleetEngine fresh(d.net, d.placements, make_config(execution));
   fresh.restore(image);
   fresh.run(Seconds{0.25 * (3 - kill_after)}, pool.get());
-  return trace_checksum(fresh);
+  return fault::fleet_trace_checksum(fresh);
 }
 
 TEST(KillAndResume, ScalarFleetResumesBitIdentically) {
@@ -246,7 +235,7 @@ TEST(KillAndResume, ManagerFallbackResumesAfterTornNewestCheckpoint) {
   FleetEngine fresh(d.net, d.placements, make_config(ChannelExecution::kScalar));
   fresh.restore(loaded->image);
   fresh.run(Seconds{0.5});
-  EXPECT_EQ(trace_checksum(fresh), expected);
+  EXPECT_EQ(fault::fleet_trace_checksum(fresh), expected);
   fs::remove_all(dir);
 }
 

@@ -559,7 +559,6 @@ void write_json_report(const std::vector<std::pair<std::string, RunResult>>& mod
         "    \"channel_block_over_scalar\": %.3f,\n"
         "    \"channel_block_tracing_off_sps\": %.0f,\n"
         "    \"channel_tracing_off_over_block\": %.3f,\n"
-        "    \"channel_tracing_off_over_scalar\": %.3f,\n"
         "    \"lane_width\": %d,\n"
         "    \"channel_batch_sps\": %.0f,\n"
         "    \"channel_batch_over_block\": %.3f,\n"
@@ -575,7 +574,6 @@ void write_json_report(const std::vector<std::pair<std::string, RunResult>>& mod
         ratio(stages.channel_block, stages.channel_scalar),
         stages.channel_block_tracing_off,
         ratio(stages.channel_block_tracing_off, stages.channel_block),
-        ratio(stages.channel_block_tracing_off, stages.channel_scalar),
         simd::active_lane_width(), stages.channel_batch,
         ratio(stages.channel_batch, stages.channel_block),
         ratio(stages.channel_batch, stages.channel_scalar),

@@ -16,9 +16,6 @@ so the runner's speed cancels:
 * channel_block_over_scalar >= 80 % of the baseline ratio — catches "someone
   deoptimised the fused frame loop": tick() does not run that loop, so a
   slower loop moves the ratio.
-* channel_tracing_off_over_scalar >= 80 % of the baseline ratio — the same
-  check on the frame path measured after the explicit tracing kill-switch:
-  dormant AQUA_TRACE_* branches leaking into the loop move it.
 * channel_tracing_off_over_block ratio >= 0.8 — the two frame-path
   measurements of one binary must agree; a >20 % gap means the measurement,
   not the code, is broken.
@@ -84,8 +81,6 @@ import sys
 REGRESSION_SLACK = 0.20  # ratio gates fail below 80 % of the baseline ratio
 SCALING_EFFICIENCY_FLOOR = 0.80  # hardware-normalised, so machine-independent
 RATIO_KEY = "channel_block_over_scalar"
-BASELINE_RATIO_KEYS = ["channel_block_over_scalar",
-                       "channel_tracing_off_over_scalar"]
 TRACING_RATIO_KEY = "channel_tracing_off_over_block"
 TRACING_RATIO_FLOOR = 0.80
 BATCH_RATIO_KEY = "channel_batch_over_block"
@@ -302,9 +297,8 @@ def main(argv):
                   "variance")
             failed = True
 
-    for key in BASELINE_RATIO_KEYS:
-        failed = check_baseline_ratio(measured, baseline, argv[1], key) \
-            or failed
+    failed = check_baseline_ratio(measured, baseline, argv[1], RATIO_KEY) \
+        or failed
 
     # The cross-sensor SIMD lane gates, only meaningful when the binary
     # actually compiled vector lanes.

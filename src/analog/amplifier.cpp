@@ -38,7 +38,7 @@ double InstrumentAmp::step(Volts differential_input, Seconds dt,
 }
 
 InstrumentAmp::FrameState InstrumentAmp::frame_state(Seconds dt,
-                                                      Kelvin ambient) const {
+                                                      Kelvin ambient) {
   const double drift =
       spec_.offset_drift_per_k * (ambient.value() - util::celsius(25.0).value());
   return FrameState{white_.frame_state(),    flicker_.frame_state(),

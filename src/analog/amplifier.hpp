@@ -39,19 +39,16 @@ class InstrumentAmp {
   double step(util::Volts differential_input, util::Seconds dt,
               util::Kelvin ambient = util::celsius(25.0));
 
-  /// The stage as plain data for the fused frame loop (isif/frame_loop.hpp,
-  /// DESIGN.md §9): both noise streams, the per-frame constants step()
-  /// derives (drift at `ambient`, pole decay for `dt`, half rail) and the
-  /// live pole value and saturation flag. The loop applies step()'s FP
-  /// operations in step()'s order; commit_frame() writes the state back.
+  /// The stage as plain data for the fused frame loop (DESIGN.md §9): both
+  /// noise streams, step()'s per-frame constants (drift at `ambient`, pole
+  /// decay for `dt`, half rail), the pole value and saturation flag.
   struct FrameState {
     WhiteNoise::FrameState white;
     FlickerNoise::FrameState flicker;
     double offset, drift, gain, half_rail, a, y;
     bool saturated;
   };
-  [[nodiscard]] FrameState frame_state(util::Seconds dt,
-                                       util::Kelvin ambient) const;
+  [[nodiscard]] FrameState frame_state(util::Seconds dt, util::Kelvin ambient);
   void commit_frame(const FrameState& k);
 
   /// Returns the stage to its post-construction state: pole discharged,

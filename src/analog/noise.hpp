@@ -27,17 +27,14 @@ class WhiteNoise {
   void reset();
   [[nodiscard]] double sigma() const { return sigma_; }
 
-  /// The stream as plain data for the fused frame loop (isif/frame_loop.hpp,
-  /// DESIGN.md §9), which draws `0.0 + sigma · gaussian` per tick exactly as
-  /// sample() does; commit_frame() writes the advanced stream back.
+  /// The stream as plain data for the fused frame loop (DESIGN.md §9), which
+  /// draws `0.0 + sigma · gaussian` per tick exactly as sample() does.
   struct FrameState {
-    util::Rng::State stream;
+    util::Rng rng;
     double sigma;
   };
-  [[nodiscard]] FrameState frame_state() const {
-    return {rng_.state(), sigma_};
-  }
-  void commit_frame(const FrameState& k) { rng_.set_state(k.stream); }
+  [[nodiscard]] FrameState frame_state() const { return {rng_, sigma_}; }
+  void commit_frame(const FrameState& k) { rng_ = k.rng; }
 
   /// Checkpoint support (DESIGN.md §14): the stream position is the only
   /// evolving state; sigma and the rewind anchor are construction-time.
@@ -75,7 +72,7 @@ class FlickerNoise {
   /// performed uses the same operands in the same order as sample(), so
   /// draws are bit-identical; the first draw of a frame pays the full chain.
   struct FrameState {
-    util::Rng::State stream;  // the row draws
+    util::Rng rng;  // the row draws
     std::array<double, kRows> rows;
     std::array<double, kRows + 1> partial;  // partial[j] = Σ rows[kRows-1..j]
     unsigned counter;
@@ -86,8 +83,8 @@ class FlickerNoise {
                   // bit-identity contract.
     bool primed;
     /// sample() with the row's Gaussian supplied by the caller: the frame
-    /// loop draws it from `stream` through its noise policy (the polar
-    /// generator at W = 1, so draw_with(Rng{stream}.gaussian()) is exactly
+    /// loop draws it from `rng` through its noise policy (the polar
+    /// generator at W = 1, so draw_with(rng.gaussian()) is exactly
     /// sample()), then feeds it through the inherently sequential chain.
     double draw_with(double row_gaussian) {
       ++counter;
@@ -103,13 +100,13 @@ class FlickerNoise {
     }
   };
   [[nodiscard]] FrameState frame_state() const {
-    FrameState k{rng_.state(), rows_, {}, counter_,
+    FrameState k{rng_, rows_, {}, counter_,
                  scale_ / std::sqrt(static_cast<double>(kRows)), false};
     k.partial[kRows] = 0.0;
     return k;
   }
   void commit_frame(const FrameState& k) {
-    rng_.set_state(k.stream);
+    rng_ = k.rng;
     rows_ = k.rows;
     counter_ = k.counter;
   }

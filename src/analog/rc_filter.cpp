@@ -21,7 +21,7 @@ double RcLowpass::step(double input, Seconds dt) {
   return x;
 }
 
-RcLowpass::FrameState RcLowpass::frame_state(Seconds dt) const {
+RcLowpass::FrameState RcLowpass::frame_state(Seconds dt) {
   FrameState k;
   k.poles = static_cast<int>(stages_.size());
   for (std::size_t i = 0; i < stages_.size(); ++i) {

@@ -21,14 +21,12 @@ class RcLowpass {
   double step(double input, util::Seconds dt);
 
   /// The cascade as plain data for the fused frame loop (DESIGN.md §9): one
-  /// decay factor and one pole value per stage. The loop applies step()'s FP
-  /// update per pole; the constructor caps poles at 4, so fixed arrays
-  /// suffice.
+  /// decay factor and pole value per stage (at most 4, the constructor's cap).
   struct FrameState {
     std::array<double, 4> a{}, y{};
     int poles = 0;
   };
-  [[nodiscard]] FrameState frame_state(util::Seconds dt) const;
+  [[nodiscard]] FrameState frame_state(util::Seconds dt);
   void commit_frame(const FrameState& k);
 
   void reset(double value = 0.0);

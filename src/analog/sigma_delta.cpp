@@ -35,7 +35,7 @@ int SigmaDeltaModulator::step(Volts input) {
 }
 
 SigmaDeltaModulator::FrameState SigmaDeltaModulator::frame_state() const {
-  return FrameState{rng_.state(),
+  return FrameState{rng_,
                     spec_.dither_lsb,
                     spec_.full_scale.value(),
                     1.0 - spec_.integrator_leak,
@@ -48,7 +48,7 @@ SigmaDeltaModulator::FrameState SigmaDeltaModulator::frame_state() const {
 }
 
 void SigmaDeltaModulator::commit_frame(const FrameState& k) {
-  rng_.set_state(k.dither_stream);
+  rng_ = k.dither_rng;
   s1_ = k.s1;
   s2_ = k.s2;
   prev_bit_ = (k.fb >= 0.0) ? 1 : -1;

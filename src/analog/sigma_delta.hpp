@@ -27,14 +27,12 @@ class SigmaDeltaModulator {
   int step(util::Volts input);
 
   /// The loop as plain data for the fused frame loop (DESIGN.md §9): the
-  /// dither stream, the per-frame constants step() derives (full scale,
-  /// leak factor, clip level) and the live integrators, feedback bit (±1.0)
-  /// and overload flags. The loop applies step()'s FP operations in step()'s
-  /// order and ORs every tick's overload into `any_overload`, the per-frame
-  /// latch the channel needs; `last_overload` is what overloaded() reports
-  /// after commit_frame(), exactly as after per-tick stepping.
+  /// dither stream, step()'s per-frame constants (full scale, leak factor,
+  /// clip level), the integrators, feedback bit (±1.0) and overload flags.
+  /// `any_overload` ORs every tick (the channel's per-frame latch);
+  /// `last_overload` is what overloaded() reports after commit_frame().
   struct FrameState {
-    util::Rng::State dither_stream;
+    util::Rng dither_rng;
     double dither, fs, leak, sat, s1, s2, fb;
     bool last_overload, any_overload;
   };

@@ -18,6 +18,7 @@ CicDecimator::CicDecimator(int order, int decimation, int differential_delay)
       kInputScale)
     throw std::invalid_argument(
         "CicDecimator: (R*M)^N exceeds the integer datapath headroom (2^31)");
+  output_scale_ = raw_gain() * kInputScale;
   integrators_.assign(static_cast<std::size_t>(order), 0);
   comb_delays_.assign(
       static_cast<std::size_t>(order),
@@ -50,8 +51,7 @@ double CicDecimator::comb() {
     hist.back() = y;
     y -= delayed;  // wrap-around subtraction: exact difference
   }
-  return static_cast<double>(static_cast<std::int64_t>(y)) /
-         (raw_gain() * kInputScale);
+  return static_cast<double>(static_cast<std::int64_t>(y)) / output_scale_;
 }
 
 CicDecimator::FrameState CicDecimator::frame_state() const {

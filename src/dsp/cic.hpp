@@ -39,17 +39,16 @@ class CicDecimator {
   static constexpr double kInputScale = 2147483648.0;  // 2^31
 
   /// The integrator cascade as plain data for the fused frame loop
-  /// (DESIGN.md §9). A frame starts and ends on a decimation boundary, so
-  /// the phase is 0 at both ends and the one output is due on the frame's
-  /// last push. The loop integrates the quantised ±1 modulator bits with
+  /// (DESIGN.md §9). A frame starts and ends at phase 0, so its one output
+  /// is due on its last push. The loop adds the quantised ±1 bits with
   /// push()'s exact wrap-around adds (±1.0 · 2^31 is exact and llround(-x) ==
-  /// -llround(x), so a bit quantises to one of two constants); the comb side
-  /// stays in the object.
+  /// -llround(x): a bit quantises to one of two constants).
   struct FrameState {
     std::array<std::uint64_t, 8> acc;
     int order;
   };
-  /// Call on a decimation boundary only (the channel's frame alignment).
+  /// Call on a decimation boundary only (phase() == 0, the channel's frame
+  /// alignment).
   [[nodiscard]] FrameState frame_state() const;
   /// Writes the advanced integrators back, runs the comb cascade on the
   /// newest integrator word and returns the normalised decimated output —
@@ -59,6 +58,8 @@ class CicDecimator {
   void reset();
 
   [[nodiscard]] int order() const { return order_; }
+  /// Inputs pushed since the last decimated output.
+  [[nodiscard]] int phase() const { return phase_; }
   [[nodiscard]] int decimation() const { return decimation_; }
   /// DC gain before normalisation, (R·M)^N.
   [[nodiscard]] double raw_gain() const;
@@ -100,6 +101,7 @@ class CicDecimator {
   int order_;
   int decimation_;
   int delay_;
+  double output_scale_;  // raw_gain() · kInputScale, computed once
   int phase_ = 0;
   std::vector<std::uint64_t> integrators_;              // wrap-around
   std::vector<std::vector<std::uint64_t>> comb_delays_; // per comb: M-deep

@@ -79,15 +79,14 @@ std::optional<ChannelSample> InputChannel::tick(Volts differential_input,
   const double filtered = lpf_.step(amplified, dt);
   const int bit = adc_.step(Volts{filtered});
   overload_latch_ = overload_latch_ || adc_.overloaded();
-  if (++frame_phase_ >= config_.decimation) frame_phase_ = 0;
 
   const auto decimated = cic_.push(static_cast<double>(bit));
   if (!decimated) return std::nullopt;
   return make_sample(*decimated);
 }
 
-InputChannel::FrameState InputChannel::begin_frame(Kelvin ambient) const {
-  if (frame_phase_ != 0)
+InputChannel::FrameState InputChannel::begin_frame(Kelvin ambient) {
+  if (frame_phase() != 0)
     throw std::logic_error(
         "InputChannel: process_frame needs a frame-aligned channel "
         "(frame_phase() == 0); advance with tick() to the boundary first");
@@ -136,7 +135,6 @@ void InputChannel::reset() {
   cic_.reset();
   overload_latch_ = false;
   overload_episode_ = false;
-  frame_phase_ = 0;
 }
 
 }  // namespace aqua::isif

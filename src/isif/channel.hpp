@@ -63,31 +63,22 @@ class InputChannel {
   std::optional<ChannelSample> tick(util::Volts differential_input,
                                     util::Kelvin ambient = util::celsius(25.0));
 
-  /// Block execution: advances one full decimation frame in a single call —
-  /// exactly `decimation` modulator ticks with the per-tick differential
-  /// inputs given in volts — and returns the one decimated sample the frame
-  /// produces. Bit-identical to `decimation` tick() calls (same noise/dither
-  /// draw order per stream, same FP operation order in every stage, same
-  /// overload latching): it is the W = 1 instance of the channel's one fused
-  /// frame loop (isif/frame_loop.hpp, DESIGN.md §9) with the polar generator
-  /// as its noise source. Preconditions: inputs.size() == decimation, and the
-  /// channel is frame-aligned (a whole number of frames ticked since
-  /// construction or reset) — throws std::logic_error otherwise. No
-  /// allocation.
+  /// Advances one whole decimation frame — `decimation` ticks with the given
+  /// per-tick differential inputs (volts) — and returns its sample,
+  /// bit-identical to `decimation` tick() calls: the W = 1 instance of the
+  /// channel's fused frame loop (isif/frame_loop.hpp, DESIGN.md §9). Needs
+  /// inputs.size() == decimation and frame_phase() == 0 (throws
+  /// std::logic_error otherwise). No allocation.
   ChannelSample process_frame(std::span<const double> differential_volts,
                               util::Kelvin ambient = util::celsius(25.0));
 
   /// Modulator ticks since the last frame boundary (0 = frame-aligned, so
-  /// process_frame() may be called).
-  [[nodiscard]] int frame_phase() const { return frame_phase_; }
+  /// process_frame() may be called): the CIC's decimation phase.
+  [[nodiscard]] int frame_phase() const { return cic_.phase(); }
 
-  /// Everything one decimation frame of this channel reads and advances, as
-  /// plain data outside the object: each stage's streams, per-frame
-  /// constants and live state. The fused frame loop runs on W of these at
-  /// once (W = 1 in process_frame, W lanes in simd::ChannelBatch, DESIGN.md
-  /// §13); begin_frame() and commit_frame() only copy state, so the chain's
-  /// arithmetic lives in the stage step() functions (the tick() oracle) and
-  /// the frame loop alone.
+  /// Everything one frame reads and advances, as plain data: each stage's
+  /// streams, per-frame constants and live state. The fused frame loop
+  /// advances W of these at once; begin_frame() and commit_frame() only copy.
   struct FrameState {
     analog::InstrumentAmp::FrameState amp;
     analog::RcLowpass::FrameState rc;
@@ -97,7 +88,7 @@ class InputChannel {
   /// Requires frame alignment (frame_phase() == 0) — throws std::logic_error
   /// otherwise, exactly like process_frame.
   [[nodiscard]] FrameState begin_frame(
-      util::Kelvin ambient = util::celsius(25.0)) const;
+      util::Kelvin ambient = util::celsius(25.0));
   /// Writes the advanced state back and produces the frame's sample (CIC
   /// comb, overload latch, fault handling, quantisation, telemetry) — the
   /// exact tail of process_frame.
@@ -135,7 +126,7 @@ class InputChannel {
     w.f64(fault_.offset_volts);
     w.boolean(overload_latch_);
     w.boolean(overload_episode_);
-    w.i32(frame_phase_);
+    w.i32(frame_phase());
   }
   void load_state(state::Reader& r) {
     amp_.load_state(r);
@@ -147,7 +138,8 @@ class InputChannel {
     fault_.offset_volts = r.f64();
     overload_latch_ = r.boolean();
     overload_episode_ = r.boolean();
-    frame_phase_ = r.i32();
+    if (r.i32() != frame_phase())
+      throw state::Error("InputChannel: frame phase disagrees with the CIC");
   }
 
  private:
@@ -161,7 +153,6 @@ class InputChannel {
   ChannelFault fault_{};
   bool overload_latch_ = false;
   bool overload_episode_ = false;  // edge detector for trace instants only
-  int frame_phase_ = 0;
 };
 
 }  // namespace aqua::isif

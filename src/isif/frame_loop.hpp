@@ -25,22 +25,24 @@
 
 namespace aqua::isif {
 
-/// The scalar channel's noise policy: one lane drawing from the polar
-/// generator, so process_frame consumes each stream exactly like tick().
+/// The scalar channel's noise policy: one lane drawing from the frame
+/// state's own polar generator in place, so process_frame consumes each
+/// stream exactly like tick() and copies no stream.
 struct PolarNoise {
-  util::Rng rng;
-  static PolarNoise gather(const util::Rng::State* st) {
-    return PolarNoise{util::Rng{st[0]}};
+  util::Rng* rng;
+  static PolarNoise gather(util::Rng* const* streams) {
+    return PolarNoise{streams[0]};
   }
-  void scatter(util::Rng::State* st) const { st[0] = rng.state(); }
-  double draw() { return rng.gaussian(); }
+  void scatter(util::Rng* const*) const {}
+  double draw() { return rng->gaussian(); }
 };
 
 /// Advances W channels' frame states (InputChannel::begin_frame) through one
 /// decimation frame; volts[w] points at lane w's `decimation` per-tick
 /// differential inputs. The channels must share RC pole count and CIC order
 /// (the callers validate). `Noise` supplies W standard normals per draw from
-/// gathered util::Rng::State streams and scatters the advanced streams back.
+/// the W frame states' util::Rng streams and leaves them advanced on
+/// scatter().
 template <int W, class Noise>
 void run_frame_lanes(InputChannel::FrameState* k, const double* const* volts,
                      int decimation) {
@@ -51,15 +53,15 @@ void run_frame_lanes(InputChannel::FrameState* k, const double* const* volts,
   const int order = k[0].cic.order;
 
   // ---- gather: structure-of-arrays lanes from the W frame states ----------
-  util::Rng::State st_white[W], st_flick[W], st_dith[W];
+  util::Rng *n_white[W], *n_flick[W], *n_dith[W];
   for (int w = 0; w < W; ++w) {
-    st_white[w] = k[w].amp.white.stream;
-    st_flick[w] = k[w].amp.flicker.stream;
-    st_dith[w] = k[w].adc.dither_stream;
+    n_white[w] = &k[w].amp.white.rng;
+    n_flick[w] = &k[w].amp.flicker.rng;
+    n_dith[w] = &k[w].adc.dither_rng;
   }
-  Noise g_white = Noise::gather(st_white);
-  Noise g_flick = Noise::gather(st_flick);
-  Noise g_dith = Noise::gather(st_dith);
+  Noise g_white = Noise::gather(n_white);
+  Noise g_flick = Noise::gather(n_flick);
+  Noise g_dith = Noise::gather(n_dith);
 
   // The RC and CIC arrays are copied whole (unused entries included): a copy
   // bounded by the runtime pole count or order compiles to memcpy calls,
@@ -92,7 +94,6 @@ void run_frame_lanes(InputChannel::FrameState* k, const double* const* volts,
     L::set(s_s1, w, f.adc.s1);
     L::set(s_s2, w, f.adc.s2);
     L::set(s_fb, w, f.adc.fb);
-    L::set(s_lastov, w, f.adc.last_overload ? ~0ull : 0ull);
     for (int j = 0; j < kOrder; ++j)
       L::set(c_acc[j], w, f.cic.acc[static_cast<std::size_t>(j)]);
   }
@@ -129,7 +130,7 @@ void run_frame_lanes(InputChannel::FrameState* k, const double* const* volts,
     }
 
     // SigmaDeltaModulator::step: normalise, overload flag, clamp, dither,
-    // two clipped integrators, 1-bit quantiser (a sign select).
+    // two clipped integrators, 1-bit quantiser (±1 by the sign of s2).
     const vd dither = zero + sigma_d * g_dith.draw();
     vd u = x / s_fs;
     s_lastov = L::gt(L::vabs(u), L::splat(0.9));
@@ -137,10 +138,12 @@ void run_frame_lanes(InputChannel::FrameState* k, const double* const* volts,
     u = L::clamp(u, -one, one) + dither;
     s_s1 = L::clamp(s_leak * s_s1 + 0.5 * (u - s_fb), -s_sat, s_sat);
     s_s2 = L::clamp(s_leak * s_s2 + 0.5 * (s_s1 - s_fb), -s_sat, s_sat);
-    s_fb = L::select(L::ge(s_s2, zero), one, -one);
+    const vu bit_up = L::ge(s_s2, zero);
+    s_fb = L::unit(bit_up);
 
-    // CicDecimator::push: the integrator cascade, exact u64 adds.
-    vu v = L::select_u(L::ge(s_fb, zero), q_pos, q_neg);
+    // CicDecimator::push: the integrator cascade, exact u64 adds. The bit's
+    // Q31 word comes from the quantiser's own mask (s_fb >= 0 iff s2 >= 0).
+    vu v = L::select_u(bit_up, q_pos, q_neg);
     for (int j = 0; j < order; ++j) {
       c_acc[j] += v;
       v = c_acc[j];
@@ -150,14 +153,11 @@ void run_frame_lanes(InputChannel::FrameState* k, const double* const* volts,
   const vu a_sat = L::gt(L::vabs(a_y), a_hr);
 
   // ---- scatter: lanes back into the frame states --------------------------
-  g_white.scatter(st_white);
-  g_flick.scatter(st_flick);
-  g_dith.scatter(st_dith);
+  g_white.scatter(n_white);
+  g_flick.scatter(n_flick);
+  g_dith.scatter(n_dith);
   for (int w = 0; w < W; ++w) {
     InputChannel::FrameState& f = k[w];
-    f.amp.white.stream = st_white[w];
-    f.amp.flicker.stream = st_flick[w];
-    f.adc.dither_stream = st_dith[w];
     f.amp.y = L::get(a_y, w);
     f.amp.saturated = L::get(a_sat, w) != 0;
     for (int p = 0; p < kPoles; ++p)

@@ -1,6 +1,7 @@
 #include "sim/integrator.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -31,7 +32,9 @@ void euler_step(const OdeRhs& f, double t, Seconds dt, std::span<double> y) {
 }
 
 FirstOrderLag::FirstOrderLag(double initial, Seconds tau)
-    : y_(initial), tau_(tau.value()) {
+    : y_(initial),
+      tau_(tau.value()),
+      memo_dt_(std::numeric_limits<double>::quiet_NaN()) {
   if (tau_ < 0.0) throw std::invalid_argument("FirstOrderLag: negative tau");
 }
 
@@ -45,13 +48,18 @@ double FirstOrderLag::step(double target, Seconds dt) {
   return y_;
 }
 
-double FirstOrderLag::decay(Seconds dt) const {
-  return tau_ <= 0.0 ? 0.0 : std::exp(-dt.value() / tau_);
+double FirstOrderLag::decay(Seconds dt) {
+  if (dt.value() != memo_dt_) {
+    memo_dt_ = dt.value();
+    memo_decay_ = tau_ <= 0.0 ? 0.0 : std::exp(-dt.value() / tau_);
+  }
+  return memo_decay_;
 }
 
 void FirstOrderLag::set_tau(Seconds tau) {
   if (tau.value() < 0.0) throw std::invalid_argument("FirstOrderLag: negative tau");
   tau_ = tau.value();
+  memo_dt_ = std::numeric_limits<double>::quiet_NaN();
 }
 
 }  // namespace aqua::sim

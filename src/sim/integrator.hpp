@@ -31,9 +31,10 @@ class FirstOrderLag {
 
   /// The per-step decay factor exp(−dt/τ) that step() applies for this dt
   /// (0 when τ ≤ 0, i.e. the lag tracks instantly). The channel's fused frame
-  /// loop hoists it out of the per-tick loop: one exp per frame instead of
-  /// one per tick, with the identical factor.
-  [[nodiscard]] double decay(util::Seconds dt) const;
+  /// loop hoists it out of the per-tick loop, and it is memoised on dt, so a
+  /// fixed-step channel pays the exp once rather than once per frame; the
+  /// factor is the identical value either way.
+  [[nodiscard]] double decay(util::Seconds dt);
 
   [[nodiscard]] double value() const { return y_; }
   void reset(double value) { y_ = value; }
@@ -42,6 +43,8 @@ class FirstOrderLag {
  private:
   double y_;
   double tau_;
+  double memo_dt_;  // NaN: nothing memoised yet
+  double memo_decay_ = 0.0;
 };
 
 }  // namespace aqua::sim

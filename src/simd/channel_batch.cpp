@@ -1,6 +1,8 @@
 #include "simd/channel_batch.hpp"
 
+#include <array>
 #include <stdexcept>
+#include <utility>
 
 #include "isif/frame_loop.hpp"
 #include "simd/gauss_lanes.hpp"
@@ -11,17 +13,21 @@ namespace {
 
 using isif::InputChannel;
 
-/// One lane group of W channels through one decimation frame: the channel's
-/// fused frame loop (isif/frame_loop.hpp) with the lane-parallel Box–Muller
-/// generator as its noise source, between each channel's begin_frame and
-/// commit_frame.
+/// The W channels' frame states, each built in place by its begin_frame
+/// (the states hold util::Rng streams, which have no cheap default).
+template <std::size_t... I>
+std::array<InputChannel::FrameState, sizeof...(I)> begin_frames(
+    const ChannelFrameInput* in, std::index_sequence<I...>) {
+  return {in[I].channel->begin_frame(in[I].ambient)...};
+}
+
+/// One lane group of W channels through one decimation frame.
 template <int W>
 void process_group(const ChannelFrameInput* in, isif::ChannelSample* out) {
-  InputChannel::FrameState k[W]{};
+  auto k = begin_frames(in, std::make_index_sequence<W>{});
   const double* volts[W]{};
   const int decimation = in[0].channel->config().decimation;
   for (int w = 0; w < W; ++w) {
-    k[w] = in[w].channel->begin_frame(in[w].ambient);
     if (k[w].rc.poles != k[0].rc.poles || k[w].cic.order != k[0].cic.order ||
         in[w].channel->config().decimation != decimation)
       throw std::invalid_argument(
@@ -31,7 +37,7 @@ void process_group(const ChannelFrameInput* in, isif::ChannelSample* out) {
       throw std::logic_error("ChannelBatch: frame size must equal decimation");
     volts[w] = in[w].differential_volts.data();
   }
-  isif::run_frame_lanes<W, detail::GaussLanes<W>>(k, volts, decimation);
+  isif::run_frame_lanes<W, detail::GaussLanes<W>>(k.data(), volts, decimation);
   for (int w = 0; w < W; ++w) out[w] = in[w].channel->commit_frame(k[w]);
 }
 

@@ -1,21 +1,12 @@
-// channel_batch.hpp — cross-sensor SIMD execution of the fused ISIF channel
-// frame (DESIGN.md §13). N channels' frame states are gathered into
-// structure-of-arrays lanes — noise/dither RNG streams, amp pole, RC cascade,
-// ΣΔ integrators (1-bit quantiser as a sign-mask select), CIC integrator
-// words — and the channel's one fused frame loop (isif/frame_loop.hpp, the
-// same source InputChannel::process_frame runs at W = 1) steps W sensors per
-// instruction through the whole chain; the advanced state is scattered back
-// through the channels' commit_frame, so scalar execution can resume any
-// channel afterwards.
-//
-// Determinism: every lane is a pure function of its own channel's state (the
-// loop is element-wise IEEE arithmetic; the batch Gaussian generator is
-// per-lane pure), so results are independent of lane width, group boundaries
-// and processing order — the batch path's committed checksum reproduces at
-// W = 1/2/4/8 and any thread count. The *noise values* come from the
-// branch-free Box-Muller generator, not the scalar polar transform, so batch
-// output intentionally differs from the scalar reference (which stays the
-// bit-identity baseline, DESIGN.md §9).
+// channel_batch.hpp — cross-sensor SIMD execution of the ISIF channel frame
+// (DESIGN.md §13): the channel's one fused frame loop (isif/frame_loop.hpp)
+// steps W channels' frame states per instruction, between each channel's
+// begin_frame and commit_frame, so scalar execution can resume any channel
+// afterwards. Every lane is a pure function of its own channel's state, so
+// the batch checksum reproduces at W = 1/2/4/8 and any thread count. The
+// noise comes from the branch-free Box–Muller generator, not the scalar polar
+// transform, so batch output intentionally differs from the scalar reference
+// (DESIGN.md §9).
 #pragma once
 
 #include <cstddef>

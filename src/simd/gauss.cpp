@@ -53,10 +53,12 @@ void vsincos_groups(std::span<const double> u, std::span<double> s,
 }
 
 template <int W>
-void draw_group(util::Rng::State* st, double* out) {
-  auto lanes = detail::GaussLanes<W>::gather(st);
+void draw_group(util::Rng* rngs, double* out) {
+  util::Rng* streams[W];
+  for (int w = 0; w < W; ++w) streams[w] = &rngs[w];
+  auto lanes = detail::GaussLanes<W>::gather(streams);
   const typename Lanes<W>::vd v = lanes.draw();
-  lanes.scatter(st);
+  lanes.scatter(streams);
   for (int w = 0; w < W; ++w) out[w] = Lanes<W>::get(v, w);
 }
 
@@ -86,34 +88,34 @@ void vsincos_2pi_lanes(std::span<const double> u, std::span<double> sin_out,
 }
 
 GaussBatch::GaussBatch(std::span<const util::Rng::State> states, int width)
-    : states_(states.begin(), states.end()), width_(resolve_width(width)) {}
+    : rngs_(states.begin(), states.end()), width_(resolve_width(width)) {}
 
 void GaussBatch::draw(std::span<double> out) {
-  if (out.size() != states_.size())
+  if (out.size() != rngs_.size())
     throw std::invalid_argument("GaussBatch::draw: span size mismatch");
-  const std::size_t n = states_.size();
+  const std::size_t n = rngs_.size();
   const std::size_t w = static_cast<std::size_t>(width_);
   std::size_t i = 0;
   switch (width_) {
     case 2:
-      for (; i + w <= n; i += w) draw_group<2>(&states_[i], &out[i]);
+      for (; i + w <= n; i += w) draw_group<2>(&rngs_[i], &out[i]);
       break;
     case 4:
-      for (; i + w <= n; i += w) draw_group<4>(&states_[i], &out[i]);
+      for (; i + w <= n; i += w) draw_group<4>(&rngs_[i], &out[i]);
       break;
     case 8:
-      for (; i + w <= n; i += w) draw_group<8>(&states_[i], &out[i]);
+      for (; i + w <= n; i += w) draw_group<8>(&rngs_[i], &out[i]);
       break;
     default:
       break;
   }
-  for (; i < n; ++i) draw_group<1>(&states_[i], &out[i]);
+  for (; i < n; ++i) draw_group<1>(&rngs_[i], &out[i]);
 }
 
 void GaussBatch::scatter(std::span<util::Rng::State> out) const {
-  if (out.size() != states_.size())
+  if (out.size() != rngs_.size())
     throw std::invalid_argument("GaussBatch::scatter: span size mismatch");
-  for (std::size_t i = 0; i < states_.size(); ++i) out[i] = states_[i];
+  for (std::size_t i = 0; i < rngs_.size(); ++i) out[i] = rngs_[i].state();
 }
 
 }  // namespace aqua::simd

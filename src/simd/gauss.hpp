@@ -41,10 +41,10 @@ class GaussBatch {
   void scatter(std::span<util::Rng::State> out) const;
 
   [[nodiscard]] int width() const { return width_; }
-  [[nodiscard]] std::size_t size() const { return states_.size(); }
+  [[nodiscard]] std::size_t size() const { return rngs_.size(); }
 
  private:
-  std::vector<util::Rng::State> states_;
+  std::vector<util::Rng> rngs_;
   int width_;
 };
 

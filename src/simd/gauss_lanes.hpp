@@ -103,7 +103,9 @@ inline void vsincos_2pi(typename Lanes<W>::vd u, typename Lanes<W>::vd& s_out,
 }
 
 /// W parallel standard-normal streams, one xoshiro256++ generator per lane,
-/// gathered from / scattered to util::Rng::State (exact round-trip). Uses the
+/// gathered from / scattered back to W util::Rng generators (an exact
+/// round-trip of each one's State) — the channel frame loop's noise policy
+/// (isif/frame_loop.hpp). Uses the
 /// branch-free Box-Muller form — r = √(−2·ln(1−u₁)), z₀ = r·cos(2πu₂),
 /// z₁ = r·sin(2πu₂) — with z₁ cached as the lane's spare, consuming exactly
 /// two raw u64 draws per lane per pair. Lanes holding a spare (including a
@@ -123,25 +125,26 @@ struct GaussLanes {
   vd spare;
   vu has_spare;  // all-ones / all-zeros per lane
 
-  static GaussLanes gather(const util::Rng::State* st) {
+  static GaussLanes gather(util::Rng* const* rngs) {
     GaussLanes g{};
     for (int w = 0; w < W; ++w) {
-      L::set(g.s0, w, st[w].s[0]);
-      L::set(g.s1, w, st[w].s[1]);
-      L::set(g.s2, w, st[w].s[2]);
-      L::set(g.s3, w, st[w].s[3]);
-      L::set(g.spare, w, st[w].spare);
-      L::set(g.has_spare, w, st[w].has_spare ? ~0ull : 0ull);
+      const util::Rng::State st = rngs[w]->state();
+      L::set(g.s0, w, st.s[0]);
+      L::set(g.s1, w, st.s[1]);
+      L::set(g.s2, w, st.s[2]);
+      L::set(g.s3, w, st.s[3]);
+      L::set(g.spare, w, st.spare);
+      L::set(g.has_spare, w, st.has_spare ? ~0ull : 0ull);
     }
     return g;
   }
 
-  void scatter(util::Rng::State* st) const {
-    for (int w = 0; w < W; ++w) {
-      st[w].s = {L::get(s0, w), L::get(s1, w), L::get(s2, w), L::get(s3, w)};
-      st[w].spare = L::get(spare, w);
-      st[w].has_spare = L::get(has_spare, w) != 0;
-    }
+  void scatter(util::Rng* const* rngs) const {
+    for (int w = 0; w < W; ++w)
+      rngs[w]->set_state(
+          {{L::get(s0, w), L::get(s1, w), L::get(s2, w), L::get(s3, w)},
+           L::get(spare, w),
+           L::get(has_spare, w) != 0});
   }
 
   /// xoshiro256++ next(), all lanes — the exact scalar recurrence per lane.

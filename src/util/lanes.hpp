@@ -100,6 +100,8 @@ struct Lanes {
     return (vd)((mask & (vu)a) | (~mask & (vu)b));
   }
   static vu select_u(vu mask, vu a, vu b) { return (mask & a) | (~mask & b); }
+  /// +1.0 where the mask is set, −1.0 elsewhere: the 1-bit quantiser.
+  static vd unit(vu mask) { return select(mask, splat(1.0), splat(-1.0)); }
 
   /// |x| by clearing the sign bit — the bit-exact vector form of std::abs.
   static vd vabs(vd x) { return (vd)((vu)x & splat_u(0x7fffffffffffffffull)); }
@@ -160,8 +162,21 @@ struct Lanes<1> {
   static vd to_double(vu x) { return static_cast<vd>(x); }
   static vi to_int(vd x) { return static_cast<vi>(x); }
 
+  // select stays a ternary: the frame loop's double selects (pole bypass)
+  // are loop-invariant, so the branch predicts or is unswitched. The
+  // quantiser's decision is not: GCC threads a ternary `unit` and the CIC
+  // word select_u on the same mask into one branch that mispredicts about
+  // every other tick (~15 % of the W = 1 frame at -O2). Both are therefore
+  // bit operations on a mask the empty asm hides from the optimiser.
   static vd select(vu mask, vd a, vd b) { return mask != 0 ? a : b; }
-  static vu select_u(vu mask, vu a, vu b) { return mask != 0 ? a : b; }
+  static vu select_u(vu mask, vu a, vu b) {
+    asm("" : "+r"(mask));
+    return (mask & a) | (~mask & b);
+  }
+  static vd unit(vu mask) {
+    asm("" : "+r"(mask));
+    return from_bits(bits(-1.0) ^ (mask & 0x8000000000000000ull));
+  }
   static vd vabs(vd x) { return std::abs(x); }
   static vd clamp(vd x, vd lo, vd hi) { return std::clamp(x, lo, hi); }
   static vd vsqrt(vd x) { return __builtin_sqrt(x); }

@@ -75,10 +75,8 @@ TEST(FlickerNoise, KernelSuffixCacheMatchesFullChain) {
   FlickerNoise b{1e-6, hertz(1.0), hertz(256e3), Rng{13}};
   for (int round = 0; round < 5; ++round) {
     auto k = b.frame_state();
-    Rng rows{k.stream};
     for (int i = 0; i < 37; ++i)
-      EXPECT_EQ(a.sample(), k.draw_with(rows.gaussian()));
-    k.stream = rows.state();
+      EXPECT_EQ(a.sample(), k.draw_with(k.rng.gaussian()));
     b.commit_frame(k);
   }
   EXPECT_EQ(a.sample(), b.sample());

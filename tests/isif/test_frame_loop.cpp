@@ -297,5 +297,29 @@ TEST(Cic, KernelPushBitBitIdenticalToPush) {
   }
 }
 
+TEST(InputChannel, LoadRejectsFramePhaseDisagreeingWithCic) {
+  // The frame phase is the CIC's decimation phase; the checkpoint stores it
+  // twice. A checkpoint whose channel phase reads 0 while the CIC sits
+  // mid-block would let process_frame emit a sample at a tick where tick()
+  // would not, so loading it fails.
+  const ChannelConfig cfg = quiet_config();
+  InputChannel source{cfg, Rng{9}};
+  for (int i = 0; i < 3; ++i) (void)source.tick(volts(1e-3));
+  ASSERT_EQ(source.frame_phase(), 3);
+  std::vector<std::uint8_t> bytes = state_bytes(source);
+  {
+    InputChannel loaded{cfg, Rng{9}};
+    state::Reader r{bytes};
+    loaded.load_state(r);
+    EXPECT_EQ(loaded.frame_phase(), 3);
+    EXPECT_EQ(state_bytes(loaded), bytes);
+  }
+  // The channel's frame phase is the last field written (an i32).
+  std::fill(bytes.end() - 4, bytes.end(), std::uint8_t{0});
+  InputChannel loaded{cfg, Rng{9}};
+  state::Reader r{bytes};
+  EXPECT_THROW(loaded.load_state(r), state::Error);
+}
+
 }  // namespace
 }  // namespace aqua::isif

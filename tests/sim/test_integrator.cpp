@@ -80,6 +80,18 @@ TEST(FirstOrderLag, ResetAndRetune) {
   EXPECT_THROW(lag.set_tau(Seconds{-1.0}), std::invalid_argument);
 }
 
+TEST(FirstOrderLag, DecayIsMemoisedPerDtAndTau) {
+  // decay() memoises exp(-dt/τ) on dt; a new dt or a retune recomputes it.
+  FirstOrderLag lag{0.0, Seconds{1.0}};
+  EXPECT_EQ(lag.decay(Seconds{0.5}), std::exp(-0.5));
+  EXPECT_EQ(lag.decay(Seconds{0.5}), std::exp(-0.5));
+  EXPECT_EQ(lag.decay(Seconds{0.25}), std::exp(-0.25));
+  lag.set_tau(Seconds{2.0});
+  EXPECT_EQ(lag.decay(Seconds{0.25}), std::exp(-0.25 / 2.0));
+  lag.set_tau(Seconds{0.0});
+  EXPECT_EQ(lag.decay(Seconds{0.25}), 0.0);
+}
+
 TEST(FirstOrderLag, RejectsNegativeTau) {
   EXPECT_THROW((FirstOrderLag{0.0, Seconds{-0.1}}), std::invalid_argument);
 }

@@ -53,6 +53,12 @@ void expect_select_clamp_abs_match_scalar() {
     }
     EXPECT_EQ(bits(L::get(L::vabs(L::splat(x)), W - 1)), bits(std::abs(x)))
         << "W " << W << " abs(" << x << ")";
+    const auto up = L::ge(L::splat(x), L::splat(0.0));
+    EXPECT_EQ(bits(L::get(L::unit(up), W - 1)), bits(x >= 0.0 ? 1.0 : -1.0))
+        << "W " << W << " unit(" << x << " >= 0)";
+    EXPECT_EQ(L::get(L::select_u(up, L::splat_u(7), L::splat_u(9)), W - 1),
+              x >= 0.0 ? 7u : 9u)
+        << "W " << W << " select_u(" << x << " >= 0)";
   }
 }
 

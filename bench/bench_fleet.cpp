@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -32,6 +33,8 @@
 #include "simd/lanes.hpp"
 #include "state/checkpoint.hpp"
 #include "util/thread_pool.hpp"
+
+#include <unistd.h>
 
 namespace {
 
@@ -81,24 +84,46 @@ struct RunResult {
   double throughput = 0.0;  // sensors × sim-seconds per wall second
   std::uint64_t checksum = 0;
   std::size_t sensors = 0;
+  /// Resident-set growth from before the engine was built to after its last
+  /// epoch, with the engine still alive (scaling-sweep runs only).
+  double rss_growth_bytes = 0.0;
 };
+
+// Resident bytes of this process now (not the peak), from /proc/self/statm.
+double current_rss_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  long long pages_total = 0;
+  long long pages_resident = 0;
+  statm >> pages_total >> pages_resident;
+  return static_cast<double>(pages_resident) *
+         static_cast<double>(sysconf(_SC_PAGESIZE));
+}
 
 // --- fleet scaling sweep ----------------------------------------------------
 // The sharded epoch loop's scaling proof: a ~1k-sensor fleet run serially and
 // on pools of 2/4/8, checksum-compared, plus a fleet-size completion run
 // (10k by default). Sizes are env-tunable: AQUA_FLEET_SCALE_SENSORS for the
-// sweep, AQUA_FLEET_XL_SENSORS for the completion run (0 skips it).
+// sweep, AQUA_FLEET_XL_SENSORS for the completion run (0 skips it). Each mode
+// runs kScalingPasses times, the modes taking turns, and keeps its fastest
+// run: a noisy neighbour slowing one run on a shared box then moves neither
+// side of the gated ratio.
+constexpr int kScalingPasses = 3;
+
 struct ScalingReport {
   std::size_t sensors = 0;
   long long epochs = 0;
   bool deterministic = true;
   /// Hardware-aware scaling efficiency: max over k ∈ {2, 4} of
-  /// speedup(pool_k) / min(k, hardware_threads). Ideal is 1.0 on any
-  /// machine — a 1-core box expects speedup 1 from k threads, a 2-core box
-  /// expects 2 from k=2 — so a fixed CI floor (0.8) works everywhere,
-  /// including hyperthreaded runners (k=2 uses real cores).
+  /// speedup(pool_k) / min(k, hardware_threads), each side the best of
+  /// kScalingPasses runs. Ideal is 1.0 on any machine — a 1-core box expects
+  /// speedup 1 from k threads, a 2-core box expects 2 from k=2 — so a fixed
+  /// CI floor (0.8) works everywhere, including hyperthreaded runners (k=2
+  /// uses real cores).
   double efficiency = 0.0;
   double pool8_over_serial = 0.0;
+  /// Resident bytes per sensor: the RSS growth across building and stepping
+  /// the first (serial) sweep fleet, over its sensor count. Gated <= 48 KiB.
+  double bytes_per_sensor = 0.0;
   std::vector<std::pair<std::string, RunResult>> modes;
   bool xl_ran = false;
   std::size_t xl_sensors = 0;
@@ -127,6 +152,7 @@ RunResult run_scaling_mode(unsigned threads, std::size_t replicas,
   cfg.root_seed = 42;
   cfg.epoch = Seconds{epoch_s};
   cfg.demand_factor = fleet::diurnal_demand_pattern(Seconds{8.0});
+  const double rss_before = current_rss_bytes();
   fleet::FleetEngine engine(d.net, d.placements, cfg);
   engine.set_shared_fit(cta::KingFit{0.9, 1.1, 0.5});
 
@@ -138,6 +164,7 @@ RunResult run_scaling_mode(unsigned threads, std::size_t replicas,
   const auto t1 = std::chrono::steady_clock::now();
 
   RunResult r;
+  r.rss_growth_bytes = current_rss_bytes() - rss_before;
   r.sensors = engine.size();
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
   r.throughput = static_cast<double>(engine.size()) * epoch_s *
@@ -156,24 +183,38 @@ ScalingReport run_scaling_sweep(unsigned hw) {
   rep.epochs = 4;
   const double epoch_s = 0.1;
 
-  std::printf("\nfleet scaling sweep: %zu sensors, %lld epochs of %.2f s\n",
-              rep.sensors, rep.epochs, epoch_s);
+  std::printf("\nfleet scaling sweep: %zu sensors, %lld epochs of %.2f s, "
+              "best of %d alternating runs per mode\n",
+              rep.sensors, rep.epochs, epoch_s, kScalingPasses);
   std::printf("%-12s %10s %16s %18s\n", "mode", "wall [s]", "sensors*sims/s",
               "trace checksum");
 
-  const RunResult serial = run_scaling_mode(0, replicas, epoch_s, rep.epochs);
-  rep.modes.emplace_back("serial", serial);
-  std::printf("%-12s %10.3f %16.1f %18llx\n", "serial", serial.wall_s,
-              serial.throughput,
-              static_cast<unsigned long long>(serial.checksum));
+  constexpr unsigned kThreads[] = {0u, 2u, 4u, 8u};  // 0 = serial
+  std::vector<RunResult> best(std::size(kThreads));
+  std::uint64_t reference = 0;
+  for (int pass = 0; pass < kScalingPasses; ++pass) {
+    for (std::size_t m = 0; m < std::size(kThreads); ++m) {
+      const RunResult r =
+          run_scaling_mode(kThreads[m], replicas, epoch_s, rep.epochs);
+      if (pass == 0 && m == 0) {
+        reference = r.checksum;
+        rep.bytes_per_sensor =
+            r.rss_growth_bytes / static_cast<double>(r.sensors);
+      }
+      rep.deterministic = rep.deterministic && r.checksum == reference;
+      if (r.throughput > best[m].throughput) best[m] = r;
+    }
+  }
 
-  for (unsigned threads : {2u, 4u, 8u}) {
-    const RunResult r = run_scaling_mode(threads, replicas, epoch_s,
-                                         rep.epochs);
-    const bool same = r.checksum == serial.checksum;
-    rep.deterministic = rep.deterministic && same;
+  const RunResult& serial = best[0];
+  for (std::size_t m = 0; m < std::size(kThreads); ++m) {
+    const unsigned threads = kThreads[m];
+    const RunResult& r = best[m];
     char mode[32];
-    std::snprintf(mode, sizeof mode, "pool(%u)", threads);
+    if (threads == 0)
+      std::snprintf(mode, sizeof mode, "serial");
+    else
+      std::snprintf(mode, sizeof mode, "pool(%u)", threads);
     rep.modes.emplace_back(mode, r);
 
     const double speedup =
@@ -185,12 +226,15 @@ ScalingReport run_scaling_sweep(unsigned hw) {
     }
     std::printf("%-12s %10.3f %16.1f %18llx%s\n", mode, r.wall_s,
                 r.throughput, static_cast<unsigned long long>(r.checksum),
-                same ? "" : "  << MISMATCH");
+                r.checksum == serial.checksum ? "" : "  << MISMATCH");
   }
   std::printf("scaling determinism: %s; efficiency %.2f (ideal 1.0, CI floor "
               "0.8), pool(8)/serial %.2fx\n",
               rep.deterministic ? "PASS" : "FAIL", rep.efficiency,
               rep.pool8_over_serial);
+  std::printf("memory: %.1f KiB resident per sensor across building and "
+              "stepping the serial fleet (CI ceiling 48 KiB)\n",
+              rep.bytes_per_sensor / 1024.0);
 
   const std::size_t xl_target = env_sensors("AQUA_FLEET_XL_SENSORS", 10016);
   if (xl_target > 0) {
@@ -217,17 +261,20 @@ ScalingReport run_scaling_sweep(unsigned hw) {
 
 // --- checkpoint overhead ----------------------------------------------------
 // The crash-recovery tax (DESIGN.md §14): the same 32-sensor epoch loop run
-// twice in this process, once plain and once writing a durable checkpoint
-// (serialize + atomic temp/fsync/rename) every `interval` epochs. The
+// in this process plain and writing a durable checkpoint (serialize + atomic
+// temp/fsync/rename) every `interval` epochs, the two taking turns
+// kCheckpointPasses times with the fastest run of each side kept. The
 // throughput ratio is machine-independent — both sides run seconds apart in
 // one binary — and CI floors it at 0.9: a checkpoint cadence of 100 epochs
 // may cost at most 10 % of fleet throughput.
+constexpr int kCheckpointPasses = 3;
+
 struct CheckpointOverhead {
   long long epochs = 0;
   long long interval = 100;
   std::size_t image_bytes = 0;     // one engine checkpoint image
-  double nockpt_sps = 0.0;         // sensors × sim-s per wall-s, no checkpoints
-  double ckpt_sps = 0.0;           // same run with the checkpoint cadence
+  double nockpt_sps = 0.0;         // best sensors × sim-s per wall-s, plain
+  double ckpt_sps = 0.0;           // best with the checkpoint cadence
   double ratio = 0.0;              // ckpt / nockpt — gated >= 0.9
 };
 
@@ -271,8 +318,10 @@ CheckpointOverhead measure_checkpoint_overhead() {
     return static_cast<double>(engine.size()) * epoch_s *
            static_cast<double>(rep.epochs) / wall;
   };
-  rep.nockpt_sps = run(false);
-  rep.ckpt_sps = run(true);
+  for (int pass = 0; pass < kCheckpointPasses; ++pass) {
+    rep.nockpt_sps = std::max(rep.nockpt_sps, run(false));
+    rep.ckpt_sps = std::max(rep.ckpt_sps, run(true));
+  }
   rep.ratio = rep.nockpt_sps > 0.0 ? rep.ckpt_sps / rep.nockpt_sps : 0.0;
   return rep;
 }
@@ -506,7 +555,8 @@ void write_json_report(const std::vector<std::pair<std::string, RunResult>>& mod
   out += "  ],\n";
   {
     // Sharded epoch-loop scaling: the machine-independent efficiency ratio
-    // ci/bench_compare.py gates, plus the raw sweep for the artifact.
+    // and the bytes-per-sensor ceiling ci/bench_compare.py gates, plus the
+    // raw sweep (each mode's best run) for the artifact.
     char buf[512];
     std::snprintf(
         buf, sizeof buf,
@@ -517,10 +567,12 @@ void write_json_report(const std::vector<std::pair<std::string, RunResult>>& mod
         "    \"deterministic\": %s,\n"
         "    \"fleet_scaling_efficiency\": %.3f,\n"
         "    \"pool8_over_serial\": %.3f,\n"
+        "    \"passes\": %d,\n"
+        "    \"bytes_per_sensor\": %.0f,\n"
         "    \"modes\": [\n",
         scaling.sensors, scaling.epochs, hw,
         scaling.deterministic ? "true" : "false", scaling.efficiency,
-        scaling.pool8_over_serial);
+        scaling.pool8_over_serial, kScalingPasses, scaling.bytes_per_sensor);
     out += buf;
     for (std::size_t i = 0; i < scaling.modes.size(); ++i) {
       const auto& [name, r] = scaling.modes[i];

@@ -36,7 +36,9 @@ so the runner's speed cancels:
   32-sensor epoch loop with a durable checkpoint (serialize + atomic
   temp/fsync/rename) every 100 epochs, against the plain loop in the same
   binary; losing more than 10 % of throughput means checkpointing got too
-  expensive for its production cadence.
+  expensive for its production cadence. Each side is the best of three
+  runs taken in turn, so one run slowed by a neighbour on a shared box
+  does not fail the gate.
 * hydro.hydro_solve_10k_over_1k <= 20        — machine-independent. Warm
   hydraulic solves of the replicated district at 10,016 and 1,024 pipes in
   the same binary; identical districts converge in identical sweep counts,
@@ -46,11 +48,21 @@ so the runner's speed cancels:
   sweep normalises each pool mode's speedup by min(threads, hardware threads),
   so ideal is 1.0 whether the runner has 1 core or 64; dropping below 0.8
   means the sharded epoch loop stopped scaling (serialisation, queue overhead,
-  imbalance), not that the runner is slow. scaling.deterministic must also be
+  imbalance), not that the runner is slow. Each mode is the best of three
+  runs taken in turn (serial, pool(2), pool(4), pool(8), repeated), as for
+  the checkpoint pair. scaling.deterministic must also be
   true — a checksum mismatch at 1k sensors is a broken determinism contract.
   With fewer than 2 hardware threads the normalisation divides by 1, so a
   fully serialised loop still scores ~1.0: the script then prints a
   ::warning:: that the gate was not exercised.
+* scaling.bytes_per_sensor <= 48 KiB         — independent of runner speed. The
+  resident-set growth across building and stepping the serial 1k-sensor sweep
+  fleet, over its sensor count: what one more sensor costs in memory. A lean
+  sensor reads 45 KiB, 32 KiB of it the one driven DAC's mismatch table; the
+  platform's six DACs drawing their tables eagerly read ~293 KiB, so a change
+  that makes every part allocate what it never reads fails here. A reading of
+  0 means the resident set could not be read and fails too. A 100k-sensor
+  fleet at 48 KiB a sensor needs ~5 GB.
 
 A slowdown common to both sides of a ratio (say, in util::Rng::gaussian,
 which both the frame loop and tick() call) cancels out of these gates; the
@@ -69,6 +81,7 @@ appended by hand with each change that moves these numbers:
                         bench_fleet's 10k-sensor completion run on pool(nproc)
   district_1k_sensor_sim_s_per_wall_s, city_1_5k_sensor_sim_s_per_wall_s
                         fleetbench throughput (median over runs)
+  bytes_per_sensor, district_1k_peak_rss_mb  memory, where recorded
   note                  how many runs, which seed, anything unusual
 This script does not read it.
 
@@ -80,6 +93,7 @@ import sys
 
 REGRESSION_SLACK = 0.20  # ratio gates fail below 80 % of the baseline ratio
 SCALING_EFFICIENCY_FLOOR = 0.80  # hardware-normalised, so machine-independent
+BYTES_PER_SENSOR_CEILING = 48 * 1024
 RATIO_KEY = "channel_block_over_scalar"
 TRACING_RATIO_KEY = "channel_tracing_off_over_block"
 TRACING_RATIO_FLOOR = 0.80
@@ -241,6 +255,25 @@ def check_scaling(path):
               "the ratio is normalised by available hardware threads, so "
               "this is a scheduling/serialisation regression, not a slow "
               "runner")
+        failed = True
+
+    per_sensor = gated_ratio(scaling, path, "bytes_per_sensor",
+                             section="scaling")
+    if per_sensor is None:
+        return True
+    if per_sensor <= 0:
+        print("::error::scaling.bytes_per_sensor is not positive — bench_fleet "
+              "could not read its resident set (/proc/self/statm), so the "
+              "memory ceiling measured nothing")
+        return True
+    print(f"bytes_per_sensor: {per_sensor / 1024:.1f} KiB "
+          f"(must stay <= {BYTES_PER_SENSOR_CEILING / 1024:.0f} KiB)")
+    if per_sensor > BYTES_PER_SENSOR_CEILING:
+        print("::error::one sensor's resident footprint grew past "
+              f"{BYTES_PER_SENSOR_CEILING / 1024:.0f} KiB — a byte count is "
+              "the same on any runner, so something now allocates per sensor "
+              "what it did not before (a table drawn eagerly, a buffer sized "
+              "to the fleet)")
         failed = True
     return failed
 

@@ -1,33 +1,30 @@
 #include "analog/dac.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace aqua::analog {
 
 using util::Rng;
-using util::Seconds;
 using util::Volts;
 
 ThermometerDac::ThermometerDac(const ThermometerDacSpec& spec, Rng rng)
-    : spec_(spec), buffer_(0.0, spec.settling_tau) {
+    : spec_(spec), buffer_(0.0, spec.settling_tau), rng_(rng) {
   if (spec.bits < 4 || spec.bits > 14)
     throw std::invalid_argument("ThermometerDac: bits out of range [4,14]");
   if (spec.full_scale.value() <= 0.0)
     throw std::invalid_argument("ThermometerDac: bad full scale");
-  const std::size_t n = std::size_t{1} << spec.bits;
-  element_weights_.resize(n);
-  cumulative_.resize(n + 1, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    element_weights_[i] = 1.0 + rng.gaussian(0.0, spec.element_mismatch_sigma);
-    cumulative_[i + 1] = cumulative_[i] + element_weights_[i];
-  }
-  total_weight_ = cumulative_[n];
 }
 
-void ThermometerDac::write_code(int code) {
-  code_ = std::clamp(code, 0, max_code());
+std::vector<double> ThermometerDac::mismatch_table() const {
+  Rng rng = rng_;
+  const std::size_t n = std::size_t{1} << spec_.bits;
+  std::vector<double> cumulative(n + 1, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double weight = 1.0 + rng.gaussian(0.0, spec_.element_mismatch_sigma);
+    cumulative[i + 1] = cumulative[i] + weight;
+  }
+  return cumulative;
 }
 
 void ThermometerDac::write_voltage(Volts v) {
@@ -35,17 +32,17 @@ void ThermometerDac::write_voltage(Volts v) {
   write_code(static_cast<int>(std::lround(frac * max_code())));
 }
 
-Volts ThermometerDac::step(Seconds dt) {
-  return Volts{buffer_.step(static_output().value(), dt)};
-}
-
 void ThermometerDac::reset() {
-  code_ = 0;
+  write_code(0);
   buffer_.reset(0.0);
 }
 
-int ThermometerDac::max_code() const {
-  return static_cast<int>((std::size_t{1} << spec_.bits) - 1);
+void ThermometerDac::load_state(state::Reader& r) {
+  const int code = r.i32();
+  if (code < 0 || code > max_code())
+    throw state::Error("state: DAC code outside the converter's range");
+  write_code(code);
+  buffer_.reset(r.f64());
 }
 
 Volts ThermometerDac::ideal_output(int code) const {
@@ -54,22 +51,13 @@ Volts ThermometerDac::ideal_output(int code) const {
                static_cast<double>(max_code())};
 }
 
-Volts ThermometerDac::static_output() const {
-  // Thermometer decode: the first `code_` unit elements are on. Normalising by
-  // the measured total weight models a trimmed full-scale reference.
-  const double frac = cumulative_[static_cast<std::size_t>(code_)] /
-                      total_weight_ * static_cast<double>(element_weights_.size()) /
-                      static_cast<double>(max_code());
-  return Volts{spec_.full_scale.value() * frac};
-}
-
 double ThermometerDac::inl_lsb(int code) const {
   const int c = std::clamp(code, 0, max_code());
   const double lsb = spec_.full_scale.value() / static_cast<double>(max_code());
-  const double actual = spec_.full_scale.value() *
-                        cumulative_[static_cast<std::size_t>(c)] / total_weight_ *
-                        static_cast<double>(element_weights_.size()) /
-                        static_cast<double>(max_code());
+  const double frac = mismatch_drawn()
+                          ? output_fraction(cumulative_, c)
+                          : output_fraction(mismatch_table(), c);
+  const double actual = spec_.full_scale.value() * frac;
   return (actual - ideal_output(c).value()) / lsb;
 }
 

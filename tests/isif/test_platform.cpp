@@ -26,6 +26,15 @@ TEST(Isif, DacBitWidthsMatchPaper) {
   EXPECT_EQ(soc.dac(5).dac().max_code(), 1023);
 }
 
+TEST(Isif, OnlyADrivenDacDrawsItsMismatchTable) {
+  Isif soc{IsifConfig{}, Rng{2}};
+  soc.dac(0).request_code(2000);
+  (void)soc.dac(0).update(util::Seconds{1e-6});
+  EXPECT_TRUE(soc.dac(0).dac().mismatch_drawn());
+  for (int i = 1; i < Isif::kDacCount; ++i)
+    EXPECT_FALSE(soc.dac(i).dac().mismatch_drawn()) << "dac " << i;
+}
+
 TEST(Isif, RegistersConfigureChannelGain) {
   Isif soc{IsifConfig{}, Rng{3}};
   soc.registers().write_field("CH0_CFG", "gain_sel", 5);  // gain 32
